@@ -70,7 +70,7 @@ ReplicationResult run(std::uint64_t seed, Time lifetime, double bu_loss) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t reps = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
+  std::size_t reps = parse_reps(argc, argv, 6);
   header("ABL2: binding lifetime vs multicast interruption (tunnel receiver)",
          "bidir-tunnel receiver on Link6, 40% of its BUs lost, 1500 s "
          "horizon");

@@ -225,7 +225,7 @@ FaultPlan ha_out() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t reps = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 4;
+  std::size_t reps = parse_reps(argc, argv, 4);
   if (smoke_mode()) reps = 1;
   header("ABL6: multicast re-convergence under injected faults",
          "Figure 1 topology, 10 dgram/s stream to Receiver3; every fault "

@@ -128,8 +128,7 @@ ReplicationResult run_replication(std::uint64_t seed, StrategyOptions opts,
 
 int main(int argc, char** argv) {
   const bool smoke = smoke_mode();
-  std::size_t reps =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : (smoke ? 2 : 8);
+  std::size_t reps = parse_reps(argc, argv, smoke ? 2 : 8);
   const Time horizon = smoke ? Time::sec(300) : Time::sec(900);
   header("CMP43: the six delivery approaches compared",
          "mobile host sends G2 + receives G1 while roaming (Poisson, mean "

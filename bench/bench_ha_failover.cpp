@@ -76,7 +76,7 @@ ReplicationResult run(std::uint64_t seed, Time heartbeat, int threshold) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t reps = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 4;
+  std::size_t reps = parse_reps(argc, argv, 4);
   header("ABL4: home-agent failover (paper's further-work extension)",
          "bidir-tunnel receiver, HA1 dies at t=20 s with HA2 as hot "
          "standby; 20 dgram/s stream");

@@ -93,7 +93,7 @@ void sweep(bool unsolicited, std::size_t reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t reps = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
+  std::size_t reps = parse_reps(argc, argv, 6);
   header("TMR44: MLD Query Interval tuning for mobile receivers",
          "roaming receiver (mean dwell 200 s), 10 dgram/s stream, 1800 s "
          "horizon; T_Query swept 125 -> 10 s");

@@ -76,7 +76,7 @@ ReplicationResult run(std::uint64_t seed, Time prune_delay,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t reps = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
+  std::size_t reps = parse_reps(argc, argv, 6);
   header("ABL1: Prune Delay Time sweep (T_PruneDel)",
          "12-router backbone, roaming local sender (dwell 60 s), 20 "
          "dgram/s, 400 s horizon");

@@ -134,8 +134,7 @@ ReplicationResult run_cell(std::uint64_t seed, const Cell& cell,
 
 int main(int argc, char** argv) {
   const bool smoke = smoke_mode();
-  std::size_t reps = argc > 1 ? std::strtoul(argv[1], nullptr, 10)
-                              : (smoke ? 2 : 4);
+  std::size_t reps = parse_reps(argc, argv, smoke ? 2 : 4);
   const Time horizon = smoke ? Time::sec(30) : Time::sec(120);
 
   header("SCALE: event/packet hot-path throughput sweep",

@@ -112,7 +112,7 @@ void sweep(const char* label, McastStrategy strategy, std::size_t reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t reps = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
+  std::size_t reps = parse_reps(argc, argv, 6);
   header("SEND43: mobile-sender cost vs mobility rate",
          "12-router backbone, 2 member stubs; sender roams all stubs with "
          "exponential dwell; 20 dgram/s, 200 B, 600 s horizon");

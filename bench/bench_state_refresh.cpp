@@ -97,7 +97,7 @@ void sweep(const char* label, bool roaming, std::size_t reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t reps = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
+  std::size_t reps = parse_reps(argc, argv, 6);
   header("ABL3: PIM-DM State Refresh extension",
          "12-router backbone, 20 dgram/s * 200 B, 900 s horizon");
 

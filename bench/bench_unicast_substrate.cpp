@@ -67,7 +67,7 @@ ReplicationResult run(std::uint64_t seed, UnicastRouting unicast) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t reps = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
+  std::size_t reps = parse_reps(argc, argv, 6);
   header("ABL5: unicast substrate — oracle vs RIPng distance vector",
          "Fig. 1, roaming receiver (dwell 120 s), traffic from t=0.5 s, "
          "900 s horizon");

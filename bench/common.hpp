@@ -5,8 +5,11 @@
 // EXPERIMENTS.md for the side-by-side record.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <string_view>
 
 #include "core/figure1.hpp"
 #include "core/metrics.hpp"
@@ -66,6 +69,23 @@ inline void header(const char* experiment, const char* what) {
 
 inline void paper_note(const char* claim) {
   std::printf("# paper: %s\n", claim);
+}
+
+/// Replications from argv[1], `fallback` when it is absent. Anything but
+/// a positive decimal integer prints a usage line and exits with code 2.
+inline std::size_t parse_reps(int argc, char** argv, std::size_t fallback) {
+  if (argc < 2) return fallback;
+  const std::string_view arg = argv[1];
+  std::size_t reps = 0;
+  const auto [end, ec] =
+      std::from_chars(arg.data(), arg.data() + arg.size(), reps);
+  if (ec != std::errc{} || end != arg.data() + arg.size() || reps == 0) {
+    std::fprintf(stderr,
+                 "usage: %s [reps]  (reps: positive integer, default %zu)\n",
+                 argv[0], fallback);
+    std::exit(2);
+  }
+  return reps;
 }
 
 inline std::string secs(Time t, int decimals = 3) {

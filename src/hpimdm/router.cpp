@@ -7,13 +7,11 @@
 namespace mip6 {
 
 HpimDmRouter::HpimDmRouter(Ipv6Stack& stack, MldRouter& mld,
-                           HpimDmConfig config)
+                           HpimDmConfig config, bool mfc)
     : stack_(&stack), mld_(&mld), config_(config),
       component_("hpimdm/" + stack.node().name()),
-      c_data_fwd_(stack.network().counters().cell("hpimdm/data-fwd")),
-      c_mfc_hit_(stack.network().counters().cell("hpimdm/mfc-hit")),
-      c_mfc_miss_(stack.network().counters().cell("hpimdm/mfc-miss")),
-      mifs_(config_.mfc_max_ifaces) {
+      fwd_(stack, "hpimdm", config_.data_timeout, mfc,
+           [this](const Address& g) { on_local_receivers_changed(g); }) {
   generation_id_ = fresh_generation_id();
   leaf_reconcile_timer_ = std::make_unique<Timer>(
       stack.scheduler(), [this] { reconcile_leaf_groups(); }, stack.node().domain());
@@ -48,12 +46,11 @@ void HpimDmRouter::stop() {
 }
 
 void HpimDmRouter::shutdown() {
-  mfc_.clear();  // entry pointers just dangled
+  fwd_.clear();  // cached timer pointers are about to dangle
   entries_.clear();
   ifaces_.clear();
   leaf_groups_.clear();
   leaf_reconcile_timer_->cancel();
-  local_receivers_.clear();
   count("hpimdm/shutdown");
 }
 
@@ -63,7 +60,7 @@ void HpimDmRouter::on_crash() {
   // machinery (timers, sequence state, unacked queues) dies with us.
   // The flow cache is derived state over the neighbor set we are about to
   // drop — flush it; the first post-restart datagram refills it.
-  mfc_.invalidate_all();
+  fwd_.invalidate_all();
   ifaces_.clear();
   leaf_reconcile_timer_->cancel();
   for (auto& [key, e] : entries_) {
@@ -79,7 +76,7 @@ void HpimDmRouter::on_crash() {
   // Home-agent local-receiver pins are soft state owned by the HA module;
   // it re-registers them as bindings refresh (keeping them would double
   // the refcounts on re-registration).
-  local_receivers_.clear();
+  fwd_.drop_local_receivers();
   count("hpimdm/crash");
 }
 
@@ -102,7 +99,7 @@ void HpimDmRouter::on_restart() {
 }
 
 void HpimDmRouter::enable_iface(IfaceId iface) {
-  if (config_.mfc) mif_of(iface);  // fail-fast on width overflow
+  fwd_.enable_iface(iface);  // fail-fast on width overflow
   configured_.insert(iface);
   auto [it, fresh] = ifaces_.try_emplace(iface);
   if (!fresh) return;
@@ -129,32 +126,12 @@ std::size_t HpimDmRouter::retransmit_backlog() const {
   return total;
 }
 
-void HpimDmRouter::add_local_receiver(const Address& group) {
-  int& refs = local_receivers_[group];
-  ++refs;
-  if (refs > 1) return;
+void HpimDmRouter::on_local_receivers_changed(const Address& group) {
   for (auto& [key, e] : entries_) {
     if (key.group != group) continue;
-    invalidate_mfc(*e);
+    fwd_.invalidate(*e);
     recompute_interest(*e);
   }
-}
-
-void HpimDmRouter::remove_local_receiver(const Address& group) {
-  auto it = local_receivers_.find(group);
-  if (it == local_receivers_.end()) return;
-  if (--it->second <= 0) {
-    local_receivers_.erase(it);
-    for (auto& [key, e] : entries_) {
-      if (key.group != group) continue;
-      invalidate_mfc(*e);
-      recompute_interest(*e);
-    }
-  }
-}
-
-bool HpimDmRouter::is_local_receiver(const Address& group) const {
-  return local_receivers_.contains(group);
 }
 
 // ---------------------------------------------------------------------------
@@ -195,7 +172,8 @@ std::vector<IfaceId> HpimDmRouter::outgoing(const Address& src,
                                             const Address& group) const {
   const SgEntry* e = find_entry(src, group);
   if (e == nullptr) return {};
-  return oiflist(*e);
+  return DenseForwarder::oiflist(
+      *e, [&](IfaceId i, const Downstream& d) { return oif_active(*e, i, d); });
 }
 
 IfaceId HpimDmRouter::incoming(const Address& src, const Address& group) const {
@@ -291,7 +269,8 @@ HpimDmRouter::SgEntry* HpimDmRouter::create_entry(const Address& src,
 }
 
 void HpimDmRouter::delete_entry(const SgKey& key) {
-  invalidate_mfc(key);  // before erase: the cached state pointer dies here
+  // Before erase: the cached data-timer pointer dies here.
+  fwd_.invalidate(key.source, key.group);
   if (entries_.erase(key) > 0) {
     count("hpimdm/sg-expired");
     trace_event("sg-expired", [&] {
@@ -306,7 +285,7 @@ HpimDmRouter::Downstream& HpimDmRouter::downstream(SgEntry& e, IfaceId iface) {
     it = e.downstream.emplace(iface, std::make_unique<Downstream>()).first;
     // A freshly materialized record can join the oif set (dense-mode
     // default: forwarding while its neighbors are unknown).
-    invalidate_mfc(e);
+    fwd_.invalidate(e);
   }
   return *it->second;
 }
@@ -326,14 +305,6 @@ bool HpimDmRouter::oif_active(const SgEntry& e, IfaceId iface,
     if (dit == d.declared.end() || dit->second) return true;
   }
   return false;
-}
-
-std::vector<IfaceId> HpimDmRouter::oiflist(const SgEntry& e) const {
-  std::vector<IfaceId> out;
-  for (const auto& [iface, d] : e.downstream) {
-    if (oif_active(e, iface, *d)) out.push_back(iface);
-  }
-  return out;
 }
 
 bool HpimDmRouter::in_oiflist(const SgEntry& e, IfaceId iface) const {
@@ -375,81 +346,12 @@ void HpimDmRouter::apply_interest(const Address& from, IfaceId iface,
     if (it->second == interested) return;
     it->second = interested;
   }
-  invalidate_mfc(*e);
+  fwd_.invalidate(*e);
   trace_event("interest-recorded", [&] {
     return "src=" + src.str() + " group=" + group.str() + " nbr=" +
            from.str() + " interested=" + (interested ? "1" : "0");
   });
   recompute_interest(*e);
-}
-
-// ---------------------------------------------------------------------------
-// MFC layer
-
-FlowKey HpimDmRouter::flow_key(const Address& src, const Address& group) {
-  return FlowKey{{src.high64(), src.low64(), group.high64(), group.low64()}};
-}
-
-Mifi HpimDmRouter::mif_of(IfaceId iface) {
-  Mifi m = mifs_.lookup(iface);
-  if (m != kNoMif) return m;
-  m = mifs_.add(iface);
-  // Insertion keeps the table sorted by IfaceId, renumbering later
-  // interfaces: every cached bitmap is now in the wrong basis, and the
-  // per-mifi counter cells point at the wrong interface's counters.
-  mfc_.invalidate_all();
-  rebuild_mfc_cells();
-  return m;
-}
-
-void HpimDmRouter::rebuild_mfc_cells() {
-  c_mfc_shard_hit_.clear();
-  c_mfc_shard_miss_.clear();
-  auto& reg = stack_->network().counters();
-  for (Mifi m = 0; m < mifs_.size(); ++m) {
-    const std::string suffix = ".if" + std::to_string(mifs_.iface(m));
-    c_mfc_shard_hit_.push_back(reg.cell("hpimdm/mfc-hit" + suffix));
-    c_mfc_shard_miss_.push_back(reg.cell("hpimdm/mfc-miss" + suffix));
-  }
-}
-
-MfcEntry* HpimDmRouter::refill_mfc(SgEntry& e) {
-  // Two passes: registering an interface can renumber the mif table (and
-  // flush the cache), so register everything before building the bitmap.
-  // The RPF interface is registered too — it selects the cache sub-table
-  // the fast path will probe on arrival.
-  for (const auto& [iface, d] : e.downstream) mif_of(iface);
-  mif_of(e.incoming);
-  IfSet set;
-  std::uint16_t n = 0;
-  for (const auto& [iface, d] : e.downstream) {
-    if (!oif_active(e, iface, *d)) continue;
-    set.set(mifs_.lookup(iface));
-    ++n;
-  }
-  bool local = is_local_receiver(e.group);
-  if (n == 0 && !local) {
-    // Not cacheable: this path re-declares no-interest upstream and must
-    // keep seeing every datagram.
-    invalidate_mfc(e);
-    return nullptr;
-  }
-  MfcEntry& m = mfc_.insert(flow_key(e.source, e.group),
-                            mifs_.lookup(e.incoming));
-  m.iif = e.incoming;
-  m.oif_count = n;
-  m.local_receiver = local;
-  m.oifs = set;
-  m.state = &e;
-  return &m;
-}
-
-void HpimDmRouter::invalidate_mfc(const SgEntry& e) {
-  mfc_.invalidate(flow_key(e.source, e.group));
-}
-
-void HpimDmRouter::invalidate_mfc(const SgKey& key) {
-  mfc_.invalidate(flow_key(key.source, key.group));
 }
 
 // ---------------------------------------------------------------------------
@@ -461,24 +363,7 @@ void HpimDmRouter::on_multicast_data(const ParsedDatagram& d,
   const Address& group = d.hdr.dst;
   if (src.is_multicast() || src.is_unspecified()) return;
 
-  if (config_.mfc) {
-    // The arrival interface's mifi selects the cache sub-table, so
-    // wrong-interface arrivals miss and fall through to the slow path,
-    // same as before sharding.
-    const Mifi rpf = mifs_.lookup(iface);
-    MfcEntry* m = rpf != kNoMif ? mfc_.find(flow_key(src, group), rpf)
-                                : nullptr;
-    if (m != nullptr && iface == m->iif) {
-      c_mfc_hit_.add();
-      c_mfc_shard_hit_[rpf].add();
-      auto* entry = static_cast<SgEntry*>(m->state);
-      entry->entry_timer->arm(config_.data_timeout);
-      c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
-      return;
-    }
-    c_mfc_miss_.add();
-    if (rpf != kNoMif) c_mfc_shard_miss_[rpf].add();
-  }
+  if (fwd_.forward_hit(src, group, pkt, iface)) return;
 
   SgEntry* e = find_entry(src, group);
   if (e == nullptr) {
@@ -500,7 +385,7 @@ void HpimDmRouter::on_multicast_data(const ParsedDatagram& d,
       e->assert_winner_addr = Address();
       e->downstream.erase(iface);
       e->my_interest.reset();
-      invalidate_mfc(*e);  // cached iif/bitmap are both stale now
+      fwd_.invalidate(*e);  // cached iif/bitmap are both stale now
       count("hpimdm/rpf-updated");
       recompute_interest(*e);
     }
@@ -520,23 +405,13 @@ void HpimDmRouter::on_multicast_data(const ParsedDatagram& d,
     return;
   }
 
-  e->entry_timer->arm(config_.data_timeout);
-  if (config_.mfc) {
-    if (MfcEntry* m = refill_mfc(*e)) {
-      c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
-      return;
-    }
-    // Nothing downstream: tell the upstream once, reliably.
-    recompute_interest(*e, false);
+  if (fwd_.forward(*e, pkt, [&](IfaceId i, const Downstream& ds) {
+        return oif_active(*e, i, ds);
+      })) {
     return;
   }
-  std::vector<IfaceId> oifs = oiflist(*e);
-  if (oifs.empty() && !is_local_receiver(e->group)) {
-    // Nothing downstream: tell the upstream once, reliably.
-    recompute_interest(*e, false);
-    return;
-  }
-  c_data_fwd_.add(stack_->forward_out_many(pkt, oifs));
+  // Nothing downstream: tell the upstream once, reliably.
+  recompute_interest(*e, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -669,7 +544,7 @@ HpimDmRouter::NeighborChannel& HpimDmRouter::ensure_channel(
         if (c != nullptr && c->sync_pending) send_sync(iface, nbr);
       }, stack_->node().domain());
   it = st.neighbors.emplace(nbr, std::move(ch)).first;
-  mfc_.invalidate_all();  // a new (unknown-interest) neighbor turns
+  fwd_.invalidate_all();  // a new (unknown-interest) neighbor turns
                           // interfaces forwarding
   count("hpimdm/neighbor-up");
   trace_event("neighbor-up", [&] {
@@ -687,7 +562,7 @@ void HpimDmRouter::neighbor_failed(IfaceId iface, const Address& nbr,
   auto it = ifaces_.find(iface);
   if (it == ifaces_.end()) return;
   if (it->second.neighbors.erase(nbr) == 0) return;
-  mfc_.invalidate_all();  // the neighbor set feeds every entry's oif set
+  fwd_.invalidate_all();  // the neighbor set feeds every entry's oif set
                           // on this iface
   count("hpimdm/neighbor-expired");
   trace_event("neighbor-expired", [&, why] {
@@ -807,7 +682,7 @@ void HpimDmRouter::on_assert(const HpimAssert& a, const Address& from,
   }
   if (they_win) {
     d.assert_loser = true;
-    invalidate_mfc(*e);
+    fwd_.invalidate(*e);
     count("hpimdm/assert-lost");
     trace_event("assert-lost", [&] {
       return "src=" + e->source.str() + " group=" + e->group.str() +
@@ -822,7 +697,7 @@ void HpimDmRouter::on_assert(const HpimAssert& a, const Address& from,
             auto dit = en->downstream.find(iface);
             if (dit != en->downstream.end()) {
               dit->second->assert_loser = false;
-              invalidate_mfc(key);
+              fwd_.invalidate(key.source, key.group);
             }
           }, stack_->node().domain());
     }
@@ -847,7 +722,7 @@ void HpimDmRouter::on_mld_change(IfaceId iface, const Address& group,
   for (auto& [key, e] : entries_) {
     if (key.group != group) continue;
     if (present && iface != e->incoming) downstream(*e, iface);
-    invalidate_mfc(*e);
+    fwd_.invalidate(*e);
     recompute_interest(*e);
   }
 }

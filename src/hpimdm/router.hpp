@@ -42,15 +42,17 @@
 #include "hpimdm/messages.hpp"
 #include "ipv6/stack.hpp"
 #include "mld/router.hpp"
-#include "net/mfc.hpp"
 #include "pimdm/dense_engine.hpp"
+#include "pimdm/dense_forwarder.hpp"
 #include "sim/timer.hpp"
 
 namespace mip6 {
 
 class HpimDmRouter : public DenseModeEngine {
  public:
-  HpimDmRouter(Ipv6Stack& stack, MldRouter& mld, HpimDmConfig config);
+  /// `mfc` selects the cached data plane (WorldConfig::mfc).
+  HpimDmRouter(Ipv6Stack& stack, MldRouter& mld, HpimDmConfig config,
+               bool mfc = true);
 
   // --- ProtocolModule ----------------------------------------------------
   const char* module_kind() const override { return "hpimdm"; }
@@ -72,12 +74,18 @@ class HpimDmRouter : public DenseModeEngine {
   // --- DenseModeEngine ----------------------------------------------------
   void enable_iface(IfaceId iface) override;
   std::vector<IfaceId> enabled_ifaces() const override;
-  void add_local_receiver(const Address& group) override;
-  void remove_local_receiver(const Address& group) override;
-  bool is_local_receiver(const Address& group) const override;
+  void add_local_receiver(const Address& group) override {
+    fwd_.add_local_receiver(group);
+  }
+  void remove_local_receiver(const Address& group) override {
+    fwd_.remove_local_receiver(group);
+  }
+  bool is_local_receiver(const Address& group) const override {
+    return fwd_.is_local_receiver(group);
+  }
 
   std::size_t entry_count() const override { return entries_.size(); }
-  std::size_t mfc_entries() const override { return mfc_.size(); }
+  std::size_t mfc_entries() const override { return fwd_.cache_size(); }
   /// Unacked control messages queued across every neighbor channel. A
   /// healthy channel drains to zero after convergence; the chaos-search
   /// retx-backlog watchdog samples this.
@@ -143,10 +151,8 @@ class HpimDmRouter : public DenseModeEngine {
     /// arriving on a non-RPF interface.
     Time last_nonrpf_tx = Time::never();
   };
-  struct SgEntry {
-    Address source;
-    Address group;
-    IfaceId incoming = 0;
+  // DenseFlow: source, group, incoming interface, data-timeout timer.
+  struct SgEntry : DenseFlow {
     Address rpf_neighbor;  // unspecified when we are the first-hop router
     std::uint32_t rpf_metric = 0;
     std::uint32_t assert_winner_pref = 0;
@@ -157,7 +163,6 @@ class HpimDmRouter : public DenseModeEngine {
     /// first declaration (and again after crash/upstream loss, forcing a
     /// re-declaration once a channel exists).
     std::optional<bool> my_interest;
-    std::unique_ptr<Timer> entry_timer;  // data timeout
   };
 
   // Entry points.
@@ -177,10 +182,9 @@ class HpimDmRouter : public DenseModeEngine {
   SgEntry* create_entry(const Address& src, const Address& group);
   void delete_entry(const SgKey& key);
   Downstream& downstream(SgEntry& e, IfaceId iface);
-  std::vector<IfaceId> oiflist(const SgEntry& e) const;
-  /// The oiflist() membership predicate for one downstream interface.
+  /// The oif-list membership predicate for one downstream interface.
   bool oif_active(const SgEntry& e, IfaceId iface, const Downstream& d) const;
-  /// Allocation-free "is this interface in oiflist(e)?".
+  /// Allocation-free "is this interface in e's oif list?".
   bool in_oiflist(const SgEntry& e, IfaceId iface) const;
   bool wants_traffic(const SgEntry& e) const;
   /// Declares interest upstream iff the wanted state flipped (or was never
@@ -190,21 +194,9 @@ class HpimDmRouter : public DenseModeEngine {
   /// data path never evaluates the oif set twice for one packet.
   void recompute_interest(SgEntry& e, bool wants);
 
-  // MFC layer (config_.mfc): dense interface indices, precomputed oif
-  // bitmaps and the (S,G) flow cache the data path consults first.
-  static FlowKey flow_key(const Address& src, const Address& group);
-  /// Registers `iface` in the mif table; a renumbering insertion flushes
-  /// the whole cache (bitmaps built under the old numbering are garbage).
-  Mifi mif_of(IfaceId iface);
-  /// Re-resolves the per-RPF-iface hit/miss cells after a mif-table
-  /// change (cold path: string work happens here, never per packet).
-  void rebuild_mfc_cells();
-  /// Recomputes e's bitmap and installs it; nullptr when the entry is not
-  /// cacheable (empty oif set and no local receiver: that path stays
-  /// per-packet because it carries the reliable no-interest declaration).
-  MfcEntry* refill_mfc(SgEntry& e);
-  void invalidate_mfc(const SgEntry& e);
-  void invalidate_mfc(const SgKey& key);
+  /// Invalidates and re-evaluates interest for every entry of `group`
+  /// after its local-receiver pin appeared or went away.
+  void on_local_receivers_changed(const Address& group);
   void apply_interest(const Address& from, IfaceId iface, const Address& src,
                       const Address& group, bool interested);
 
@@ -254,19 +246,8 @@ class HpimDmRouter : public DenseModeEngine {
   MldRouter* mld_;
   HpimDmConfig config_;
   std::string component_;  // "hpimdm/<node>", cached for trace records
-  /// Cell for the per-fan-out "hpimdm/data-fwd" counter, resolved once.
-  CounterCell c_data_fwd_;
-  /// Flow-cache hit/miss cells, resolved once (hot path, no string work).
-  CounterCell c_mfc_hit_;
-  CounterCell c_mfc_miss_;
-  /// Per-RPF-interface hit/miss cells ("hpimdm/mfc-hit.if<id>"), index =
-  /// mifi. Rebuilt by mif_of() whenever the mif table renumbers, so the
-  /// hot path never does string work.
-  std::vector<CounterCell> c_mfc_shard_hit_;
-  std::vector<CounterCell> c_mfc_shard_miss_;
-  /// Dense interface indices + per-RPF-iface (S,G) flow cache bank.
-  MifTable mifs_;
-  ShardedFlowCache mfc_;
+  /// The MFC data plane; this engine only decides and invalidates.
+  DenseForwarder fwd_;
   std::uint32_t generation_id_ = 0;
   /// Every interface enable_iface() was ever called for (restart wiring).
   std::set<IfaceId> configured_;
@@ -277,7 +258,6 @@ class HpimDmRouter : public DenseModeEngine {
   /// MLD reports leaf_reconcile_delay after a restart.
   std::map<IfaceId, std::set<Address>> leaf_groups_;
   std::unique_ptr<Timer> leaf_reconcile_timer_;
-  std::map<Address, int> local_receivers_;
 };
 
 }  // namespace mip6

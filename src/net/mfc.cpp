@@ -13,16 +13,13 @@ std::size_t IfSet::count() const {
   return n;
 }
 
-MifTable::MifTable(std::size_t max_ifaces)
-    : max_(std::min(max_ifaces, IfSet::kBits)) {}
-
 Mifi MifTable::add(IfaceId iface) {
   auto it = std::lower_bound(ifaces_.begin(), ifaces_.end(), iface);
   if (it != ifaces_.end() && *it == iface) {
     return static_cast<Mifi>(it - ifaces_.begin());
   }
-  if (ifaces_.size() >= max_) {
-    throw LogicError("MifTable: interface count exceeds configured width");
+  if (ifaces_.size() >= IfSet::kBits) {
+    throw LogicError("MifTable: interface count exceeds IfSet::kBits");
   }
   it = ifaces_.insert(it, iface);
   ++version_;

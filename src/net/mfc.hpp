@@ -5,14 +5,17 @@
 // protocol state machines at all.
 //
 // Division of labour: this layer is pure bookkeeping — it never decides
-// *what* the oif set is. The dense-mode engines (PIM-DM / HPIM-DM) compute
-// bitmaps once per state change and install them here; every control-plane
-// transition that can change an oif set invalidates the affected entries
-// (or the whole cache). Stale entries are invisible to find(), so a missed
-// refill only costs a slow-path packet, never a wrong forwarding decision —
-// but a missed *invalidation* is a stale-cache blackhole, which is why the
-// invalidation rules are regression-tested against the cache-off data plane
-// (docs/PERF.md "MFC bitmaps and the (S,G) flow cache").
+// *what* the oif set is. One DenseForwarder per router
+// (pimdm/dense_forwarder.hpp) owns these tables for whichever dense-mode
+// control plane runs there (PIM-DM or HPIM-DM): it builds a bitmap from
+// the engine's oif predicate once per state change and installs it here,
+// and the engine invalidates the affected entries (or the whole cache) on
+// every control-plane transition that can change an oif set. Stale entries
+// are invisible to find(), so a missed refill only costs a slow-path
+// packet, never a wrong forwarding decision — but a missed *invalidation*
+// is a stale-cache blackhole, which is why the invalidation rules are
+// regression-tested against the uncached data plane (docs/PERF.md "MFC
+// bitmaps and the (S,G) flow cache").
 //
 // Determinism contract: MifTable keeps its dense indices sorted by IfaceId
 // (insertions renumber, legal because any insertion already forces a cache
@@ -27,6 +30,8 @@
 #include "net/interface.hpp"
 
 namespace mip6 {
+
+class Timer;
 
 /// Dense per-router interface index ("mifi_t"): the bit position of an
 /// interface in an IfSet.
@@ -63,13 +68,8 @@ class IfSet {
 /// version() makes detectable.
 class MifTable {
  public:
-  /// `max_ifaces` is the fail-fast width budget: registering more
-  /// interfaces than this (or than IfSet::kBits) throws LogicError rather
-  /// than silently truncating the oif set.
-  explicit MifTable(std::size_t max_ifaces = IfSet::kBits);
-
   /// Registers `iface` (idempotent); returns its mifi. Throws LogicError
-  /// when the width budget is exhausted.
+  /// past IfSet::kBits interfaces rather than silently truncating oif sets.
   Mifi add(IfaceId iface);
   /// kNoMif when the interface was never registered.
   Mifi lookup(IfaceId iface) const;
@@ -80,7 +80,6 @@ class MifTable {
 
  private:
   std::vector<IfaceId> ifaces_;  // sorted ascending; index == mifi
-  std::size_t max_;
   std::uint64_t version_ = 0;
 };
 
@@ -96,18 +95,17 @@ struct FlowKey {
 };
 
 /// One precomputed forwarding decision: everything the data path needs to
-/// replicate a datagram without touching protocol state. `state` is the
-/// owning engine's (S,G) entry (opaque here); it is only dereferenced on
-/// fresh entries, and every path that can destroy an entry invalidates or
-/// clears the cache first.
+/// replicate a datagram without touching protocol state. `data_timer` is
+/// the owning (S,G) entry's data timeout, re-armed on every hit; it is only
+/// dereferenced on fresh entries, and every path that can destroy an entry
+/// invalidates or clears the cache first.
 struct MfcEntry {
   FlowKey key;
   std::uint64_t epoch = 0;  // 0 = never valid; != cache epoch = stale
   IfaceId iif = 0;
   std::uint16_t oif_count = 0;
-  bool local_receiver = false;
   IfSet oifs;
-  void* state = nullptr;
+  Timer* data_timer = nullptr;
 };
 
 /// Open-addressed (S,G) -> MfcEntry map with epoch invalidation: slots are

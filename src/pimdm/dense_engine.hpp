@@ -7,9 +7,11 @@
 // and benches — talks to this interface so a ScenarioSpec can swap engines
 // without touching the rest of the simulation.
 //
-// The data path is NOT behind these virtuals: each engine installs its own
-// multicast-forwarder hook directly on the Ipv6Stack, so the engine
-// abstraction adds zero cost per forwarded packet (bench_scale parity).
+// The data path is NOT behind these virtuals: both engines compose one
+// DenseForwarder (pimdm/dense_forwarder.hpp), the shared MFC data plane,
+// and each engine's multicast-forwarder hook on the Ipv6Stack calls its
+// cache-hit path directly, so the engine abstraction adds zero cost per
+// forwarded packet.
 #pragma once
 
 #include <cstddef>

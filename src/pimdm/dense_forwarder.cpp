@@ -1,0 +1,96 @@
+#include "pimdm/dense_forwarder.hpp"
+
+#include <utility>
+
+namespace mip6 {
+
+namespace {
+
+FlowKey flow_key(const Address& src, const Address& group) {
+  return FlowKey{{src.high64(), src.low64(), group.high64(), group.low64()}};
+}
+
+}  // namespace
+
+DenseForwarder::DenseForwarder(Ipv6Stack& stack, std::string_view engine,
+                               Time data_timeout, bool cached,
+                               LocalReceiverHook on_local_change)
+    : stack_(&stack), engine_(engine), data_timeout_(data_timeout),
+      cached_(cached), on_local_change_(std::move(on_local_change)),
+      c_data_fwd_(stack.network().counters().cell(engine_ + "/data-fwd")),
+      c_hit_(stack.network().counters().cell(engine_ + "/mfc-hit")),
+      c_miss_(stack.network().counters().cell(engine_ + "/mfc-miss")) {}
+
+bool DenseForwarder::forward_hit(const Address& src, const Address& group,
+                                 const Packet& pkt, IfaceId iface) {
+  if (!cached_) return false;
+  // The arrival interface's mifi selects the cache sub-table, so
+  // wrong-interface arrivals miss and fall through to the engine (assert
+  // and non-RPF handling are control-plane work).
+  const Mifi rpf = mifs_.lookup(iface);
+  MfcEntry* m = rpf != kNoMif ? cache_.find(flow_key(src, group), rpf)
+                              : nullptr;
+  if (m == nullptr || m->iif != iface) {
+    c_miss_.add();
+    if (rpf != kNoMif) c_miss_if_[rpf].add();
+    return false;
+  }
+  c_hit_.add();
+  c_hit_if_[rpf].add();
+  m->data_timer->arm(data_timeout_);
+  c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
+  return true;
+}
+
+void DenseForwarder::invalidate(const Address& source, const Address& group) {
+  cache_.invalidate(flow_key(source, group));
+}
+
+void DenseForwarder::clear() {
+  cache_.clear();
+  local_receivers_.clear();
+}
+
+void DenseForwarder::add_local_receiver(const Address& group) {
+  if (++local_receivers_[group] == 1) on_local_change_(group);
+}
+
+void DenseForwarder::remove_local_receiver(const Address& group) {
+  auto it = local_receivers_.find(group);
+  if (it == local_receivers_.end() || --it->second > 0) return;
+  local_receivers_.erase(it);
+  on_local_change_(group);
+}
+
+Mifi DenseForwarder::mif_of(IfaceId iface) {
+  Mifi m = mifs_.lookup(iface);
+  if (m != kNoMif) return m;
+  m = mifs_.add(iface);
+  // Every later index moved up by one: bitmaps built under the old
+  // numbering would transmit out the wrong interfaces.
+  cache_.invalidate_all();
+  auto& reg = stack_->network().counters();
+  const std::string suffix = ".if" + std::to_string(iface);
+  c_hit_if_.insert(c_hit_if_.begin() + m,
+                   reg.cell(engine_ + "/mfc-hit" + suffix));
+  c_miss_if_.insert(c_miss_if_.begin() + m,
+                    reg.cell(engine_ + "/mfc-miss" + suffix));
+  return m;
+}
+
+MfcEntry* DenseForwarder::install(const DenseFlow& f, const IfSet& oifs,
+                                  std::uint16_t n) {
+  if (n == 0 && !is_local_receiver(f.group)) {
+    invalidate(f);
+    return nullptr;
+  }
+  MfcEntry& m = cache_.insert(flow_key(f.source, f.group),
+                              mifs_.lookup(f.incoming));
+  m.iif = f.incoming;
+  m.oif_count = n;
+  m.oifs = oifs;
+  m.data_timer = f.entry_timer.get();
+  return &m;
+}
+
+}  // namespace mip6

@@ -6,13 +6,12 @@
 
 namespace mip6 {
 
-PimDmRouter::PimDmRouter(Ipv6Stack& stack, MldRouter& mld, PimDmConfig config)
+PimDmRouter::PimDmRouter(Ipv6Stack& stack, MldRouter& mld, PimDmConfig config,
+                         bool mfc)
     : stack_(&stack), mld_(&mld), config_(config),
       component_("pimdm/" + stack.node().name()),
-      c_data_fwd_(stack.network().counters().cell("pimdm/data-fwd")),
-      c_mfc_hit_(stack.network().counters().cell("pimdm/mfc-hit")),
-      c_mfc_miss_(stack.network().counters().cell("pimdm/mfc-miss")),
-      mifs_(config_.mfc_max_ifaces) {
+      fwd_(stack, "pimdm", config_.data_timeout, mfc,
+           [this](const Address& g) { on_local_receivers_changed(g); }) {
   stack.set_mcast_forwarder(
       [this](const ParsedDatagram& d, const Packet& pkt, IfaceId iface) {
         on_multicast_data(d, pkt, iface);
@@ -45,7 +44,7 @@ void PimDmRouter::stop() {
 
 void PimDmRouter::enable_iface(IfaceId iface) {
   configured_.insert(iface);
-  if (config_.mfc) mif_of(iface);  // fail-fast on width overflow
+  fwd_.enable_iface(iface);  // fail-fast on width overflow
   auto [it, fresh] = ifaces_.try_emplace(iface);
   if (!fresh) return;
   it->second.hello_timer = std::make_unique<Timer>(
@@ -62,8 +61,7 @@ void PimDmRouter::shutdown() {
   // prune, assert, graft-retry, entry, state-refresh).
   entries_.clear();
   ifaces_.clear();
-  local_receivers_.clear();
-  mfc_.clear();  // entry pointers just dangled
+  fwd_.clear();  // cached timer pointers just dangled
   count("pimdm/shutdown");
 }
 
@@ -73,33 +71,14 @@ std::vector<IfaceId> PimDmRouter::enabled_ifaces() const {
   return out;
 }
 
-void PimDmRouter::add_local_receiver(const Address& group) {
-  int& refs = local_receivers_[group];
-  ++refs;
-  if (refs > 1) return;
-  // Existing pruned entries for this group must be re-grafted.
+void PimDmRouter::on_local_receivers_changed(const Address& group) {
+  // Existing pruned entries for this group must be re-grafted (or, on the
+  // last pin's removal, pruned again).
   for (auto& [key, e] : entries_) {
     if (key.group != group) continue;
-    invalidate_mfc(*e);
+    fwd_.invalidate(*e);
     check_upstream(*e);
   }
-}
-
-void PimDmRouter::remove_local_receiver(const Address& group) {
-  auto it = local_receivers_.find(group);
-  if (it == local_receivers_.end()) return;
-  if (--it->second <= 0) {
-    local_receivers_.erase(it);
-    for (auto& [key, e] : entries_) {
-      if (key.group != group) continue;
-      invalidate_mfc(*e);
-      check_upstream(*e);
-    }
-  }
-}
-
-bool PimDmRouter::is_local_receiver(const Address& group) const {
-  return local_receivers_.contains(group);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,7 +119,8 @@ std::vector<IfaceId> PimDmRouter::outgoing(const Address& src,
                                            const Address& group) const {
   const SgEntry* e = find_entry(src, group);
   if (e == nullptr) return {};
-  return oiflist(*e);
+  return DenseForwarder::oiflist(
+      *e, [&](IfaceId i, const Downstream& d) { return oif_active(*e, i, d); });
 }
 
 IfaceId PimDmRouter::incoming(const Address& src, const Address& group) const {
@@ -237,7 +217,7 @@ PimDmRouter::SgEntry* PimDmRouter::create_entry(const Address& src,
       }, stack_->node().domain());
   // Dense mode: initially forward onto every PIM interface (except the
   // incoming one). Interfaces without PIM neighbors contribute to the oif
-  // list only via MLD listeners — see oiflist().
+  // list only via MLD listeners — see oif_active().
   for (const auto& [iface, st] : ifaces_) {
     if (iface == e->incoming) continue;
     e->downstream.emplace(iface, std::make_unique<Downstream>());
@@ -264,7 +244,8 @@ PimDmRouter::SgEntry* PimDmRouter::create_entry(const Address& src,
 }
 
 void PimDmRouter::delete_entry(const SgKey& key) {
-  invalidate_mfc(key);  // before erase: the cached state pointer dies here
+  // Before erase: the cached data-timer pointer dies here.
+  fwd_.invalidate(key.source, key.group);
   if (entries_.erase(key) > 0) {
     count("pimdm/sg-expired");
     trace_event("sg-expired", [&] {
@@ -279,7 +260,7 @@ PimDmRouter::Downstream& PimDmRouter::downstream(SgEntry& e, IfaceId iface) {
     it = e.downstream.emplace(iface, std::make_unique<Downstream>()).first;
     // A freshly materialized record can join the oif set (it starts in
     // kForwarding, the dense-mode default).
-    invalidate_mfc(e);
+    fwd_.invalidate(e);
   }
   return *it->second;
 }
@@ -292,14 +273,6 @@ bool PimDmRouter::oif_active(const SgEntry& e, IfaceId iface,
   // neighbors exist and have not pruned.
   return mld_->has_listeners(iface, e.group) ||
          ((d.state != DownstreamState::kPruned) && has_neighbors(iface));
-}
-
-std::vector<IfaceId> PimDmRouter::oiflist(const SgEntry& e) const {
-  std::vector<IfaceId> out;
-  for (const auto& [iface, d] : e.downstream) {
-    if (oif_active(e, iface, *d)) out.push_back(iface);
-  }
-  return out;
 }
 
 bool PimDmRouter::in_oiflist(const SgEntry& e, IfaceId iface) const {
@@ -316,85 +289,12 @@ bool PimDmRouter::wants_traffic(const SgEntry& e) const {
 }
 
 void PimDmRouter::check_upstream(SgEntry& e) {
-  check_upstream(e, wants_traffic(e));
-}
-
-void PimDmRouter::check_upstream(SgEntry& e, bool wants) {
   if (e.rpf_neighbor.is_unspecified()) return;  // we are the first hop
-  if (wants) {
+  if (wants_traffic(e)) {
     if (e.upstream_pruned) send_graft_upstream(e);
   } else {
     if (!e.upstream_pruned) send_prune_upstream(e);
   }
-}
-
-// ---------------------------------------------------------------------------
-// MFC layer
-
-FlowKey PimDmRouter::flow_key(const Address& src, const Address& group) {
-  return FlowKey{{src.high64(), src.low64(), group.high64(), group.low64()}};
-}
-
-Mifi PimDmRouter::mif_of(IfaceId iface) {
-  Mifi m = mifs_.lookup(iface);
-  if (m != kNoMif) return m;
-  m = mifs_.add(iface);
-  // The insertion renumbered every later index: bitmaps built under the
-  // old numbering would transmit out the wrong interfaces, and the
-  // per-mifi counter cells point at the wrong interface's counters.
-  mfc_.invalidate_all();
-  rebuild_mfc_cells();
-  return m;
-}
-
-void PimDmRouter::rebuild_mfc_cells() {
-  c_mfc_shard_hit_.clear();
-  c_mfc_shard_miss_.clear();
-  auto& reg = stack_->network().counters();
-  for (Mifi m = 0; m < mifs_.size(); ++m) {
-    const std::string suffix = ".if" + std::to_string(mifs_.iface(m));
-    c_mfc_shard_hit_.push_back(reg.cell("pimdm/mfc-hit" + suffix));
-    c_mfc_shard_miss_.push_back(reg.cell("pimdm/mfc-miss" + suffix));
-  }
-}
-
-MfcEntry* PimDmRouter::refill_mfc(SgEntry& e) {
-  // Two passes: register every candidate interface first (registration can
-  // renumber and flush the cache), then build the bitmap under the final
-  // numbering. The RPF interface is registered too — it selects the
-  // cache sub-table the fast path will probe on arrival.
-  for (const auto& [iface, d] : e.downstream) (void)mif_of(iface);
-  (void)mif_of(e.incoming);
-  IfSet set;
-  std::uint16_t n = 0;
-  for (const auto& [iface, d] : e.downstream) {
-    if (!oif_active(e, iface, *d)) continue;
-    set.set(mifs_.lookup(iface));
-    ++n;
-  }
-  bool local = is_local_receiver(e.group);
-  if (n == 0 && !local) {
-    // Not cacheable: this state carries the rate-limited upstream
-    // self-prune, which must keep running per packet.
-    invalidate_mfc(e);
-    return nullptr;
-  }
-  MfcEntry& m = mfc_.insert(flow_key(e.source, e.group),
-                            mifs_.lookup(e.incoming));
-  m.iif = e.incoming;
-  m.oif_count = n;
-  m.local_receiver = local;
-  m.oifs = set;
-  m.state = &e;
-  return &m;
-}
-
-void PimDmRouter::invalidate_mfc(const SgEntry& e) {
-  mfc_.invalidate(flow_key(e.source, e.group));
-}
-
-void PimDmRouter::invalidate_mfc(const SgKey& key) {
-  mfc_.invalidate(flow_key(key.source, key.group));
 }
 
 // ---------------------------------------------------------------------------
@@ -409,26 +309,9 @@ void PimDmRouter::on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
   const Address& group = d.hdr.dst;
   if (src.is_multicast() || src.is_unspecified()) return;
 
-  if (config_.mfc) {
-    // Fast path: a fresh flow-cache entry holds the whole forwarding
-    // decision; the state machines below are only consulted on a miss.
-    // The arrival interface's mifi selects the cache sub-table, so
-    // wrong-interface arrivals miss and fall through (assert / non-RPF
-    // prune handling is control-plane work, same as before sharding).
-    const Mifi rpf = mifs_.lookup(iface);
-    MfcEntry* m = rpf != kNoMif ? mfc_.find(flow_key(src, group), rpf)
-                                : nullptr;
-    if (m != nullptr && iface == m->iif) {
-      c_mfc_hit_.add();
-      c_mfc_shard_hit_[rpf].add();
-      auto* e = static_cast<SgEntry*>(m->state);
-      e->entry_timer->arm(config_.data_timeout);
-      c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
-      return;
-    }
-    c_mfc_miss_.add();
-    if (rpf != kNoMif) c_mfc_shard_miss_[rpf].add();
-  }
+  // Fast path: a fresh flow-cache entry holds the whole forwarding
+  // decision; the state machines below are only consulted on a miss.
+  if (fwd_.forward_hit(src, group, pkt, iface)) return;
 
   SgEntry* e = find_entry(src, group);
   if (e == nullptr) {
@@ -450,7 +333,7 @@ void PimDmRouter::on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
       e->assert_winner_metric = route->metric;
       e->assert_winner_addr = Address();
       e->downstream.erase(iface);  // the new incoming iface is not an oif
-      invalidate_mfc(*e);          // cached iif/bitmap are both stale now
+      fwd_.invalidate(*e);          // cached iif/bitmap are both stale now
       count("pimdm/rpf-updated");
     }
   }
@@ -489,37 +372,22 @@ void PimDmRouter::on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
     return;
   }
 
-  e->entry_timer->arm(config_.data_timeout);
-  if (config_.mfc) {
-    // Miss path: recompute the bitmap once, install it, forward. The next
-    // packet of this flow hits the cache until a control-plane transition
-    // invalidates it.
-    if (MfcEntry* m = refill_mfc(*e)) {
-      c_data_fwd_.add(stack_->forward_out_many(pkt, m->oifs, mifs_));
-      return;
-    }
-    // Nothing downstream: prune ourselves off the tree (rate-limited; on a
-    // LAN the upstream may keep transmitting because a sibling overrode).
-    // Deliberately uncached so the rate limiter keeps seeing every packet.
-    if (!e->rpf_neighbor.is_unspecified() &&
-        (e->last_prune_tx.is_never() ||
-         now() - e->last_prune_tx >= config_.prune_hold_time)) {
-      send_prune_upstream(*e);
-    }
+  // Miss path: rebuild and install the bitmap, forward. The next packet of
+  // this flow hits the cache until a control-plane transition invalidates
+  // it.
+  if (fwd_.forward(*e, pkt, [&](IfaceId i, const Downstream& ds) {
+        return oif_active(*e, i, ds);
+      })) {
     return;
   }
-  std::vector<IfaceId> oifs = oiflist(*e);
-  if (oifs.empty() && !is_local_receiver(e->group)) {
-    if (!e->rpf_neighbor.is_unspecified() &&
-        (e->last_prune_tx.is_never() ||
-         now() - e->last_prune_tx >= config_.prune_hold_time)) {
-      send_prune_upstream(*e);
-    }
-    return;
+  // Nothing downstream: prune ourselves off the tree (rate-limited; on a
+  // LAN the upstream may keep transmitting because a sibling overrode).
+  // Deliberately uncached so the rate limiter keeps seeing every packet.
+  if (!e->rpf_neighbor.is_unspecified() &&
+      (e->last_prune_tx.is_never() ||
+       now() - e->last_prune_tx >= config_.prune_hold_time)) {
+    send_prune_upstream(*e);
   }
-  // One hop-limit-decremented buffer shared by every replica; see
-  // Ipv6Stack::forward_out_many.
-  c_data_fwd_.add(stack_->forward_out_many(pkt, oifs));
 }
 
 // ---------------------------------------------------------------------------
@@ -590,7 +458,7 @@ void PimDmRouter::on_hello(const PimHello& hello, const Address& from,
         stack_->scheduler(), [this, iface, from] {
           ifaces_.at(iface).neighbors.erase(from);
           // has_neighbors() feeds every entry's oif set on this iface.
-          mfc_.invalidate_all();
+          fwd_.invalidate_all();
           count("pimdm/neighbor-expired");
           trace_event("neighbor-expired", [&] {
             return "iface=" + std::to_string(iface) + " nbr=" + from.str();
@@ -598,7 +466,7 @@ void PimDmRouter::on_hello(const PimHello& hello, const Address& from,
         }, stack_->node().domain());
     timer->arm(Time::sec(hello.holdtime));
     st.neighbors.emplace(from, std::move(timer));
-    mfc_.invalidate_all();  // a new neighbor turns interfaces forwarding
+    fwd_.invalidate_all();  // a new neighbor turns interfaces forwarding
     count("pimdm/neighbor-up");
     trace_event("neighbor-up", [&] {
       return "iface=" + std::to_string(iface) + " nbr=" + from.str();
@@ -645,7 +513,7 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
                   Downstream& dd = downstream(*entry, iface);
                   if (dd.state != DownstreamState::kPrunePending) return;
                   dd.state = DownstreamState::kPruned;
-                  invalidate_mfc(key);
+                  fwd_.invalidate(key.source, key.group);
                   count("pimdm/iface-pruned");
                   trace_event("iface-pruned", [&] {
                     return "src=" + key.source.str() + " group=" +
@@ -677,7 +545,7 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
                           Downstream& x = downstream(*en, iface);
                           if (x.state == DownstreamState::kPruned) {
                             x.state = DownstreamState::kForwarding;
-                            invalidate_mfc(key);
+                            fwd_.invalidate(key.source, key.group);
                             count("pimdm/prune-expired");
                             // Downstream interest is presumed again; if we
                             // had pruned ourselves upstream meanwhile, we
@@ -715,7 +583,7 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
         if (d.state == DownstreamState::kPrunePending) {
           d.prune_pending_timer->cancel();
           d.state = DownstreamState::kForwarding;
-          invalidate_mfc(*e);
+          fwd_.invalidate(*e);
           count("pimdm/prune-overridden");
           trace_event("prune-overridden", [&] {
             return "src=" + src.str() + " group=" + g.group.str() +
@@ -724,7 +592,7 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
         } else if (d.state == DownstreamState::kPruned) {
           if (d.prune_expiry_timer) d.prune_expiry_timer->cancel();
           d.state = DownstreamState::kForwarding;
-          invalidate_mfc(*e);
+          fwd_.invalidate(*e);
         }
       } else if (iface == e->incoming) {
         // Someone else already sent the override; suppress ours.
@@ -750,7 +618,7 @@ void PimDmRouter::on_graft(const PimJoinPrune& graft, const Address& from,
       if (d.prune_pending_timer) d.prune_pending_timer->cancel();
       if (d.prune_expiry_timer) d.prune_expiry_timer->cancel();
       d.state = DownstreamState::kForwarding;
-      invalidate_mfc(*e);
+      fwd_.invalidate(*e);
       count("pimdm/graft-processed");
       check_upstream(*e);  // cascade the graft upstream if we had pruned
     }
@@ -817,7 +685,7 @@ void PimDmRouter::on_assert(const PimAssert& a, const Address& from,
   }
   if (they_win) {
     d.assert_loser = true;
-    invalidate_mfc(*e);
+    fwd_.invalidate(*e);
     count("pimdm/assert-lost");
     trace_event("assert-lost", [&] {
       return "src=" + e->source.str() + " group=" + e->group.str() +
@@ -832,7 +700,7 @@ void PimDmRouter::on_assert(const PimAssert& a, const Address& from,
             auto dit = en->downstream.find(iface);
             if (dit != en->downstream.end()) {
               dit->second->assert_loser = false;
-              invalidate_mfc(key);
+              fwd_.invalidate(key.source, key.group);
             }
           }, stack_->node().domain());
     }
@@ -862,7 +730,7 @@ void PimDmRouter::on_mld_change(IfaceId iface, const Address& group,
     if (present) {
       if (iface != e->incoming) downstream(*e, iface);  // materialize state
     }
-    invalidate_mfc(*e);
+    fwd_.invalidate(*e);
     check_upstream(*e);
   }
   (void)iface;

@@ -26,9 +26,9 @@
 
 #include "ipv6/stack.hpp"
 #include "mld/router.hpp"
-#include "net/mfc.hpp"
 #include "pimdm/config.hpp"
 #include "pimdm/dense_engine.hpp"
+#include "pimdm/dense_forwarder.hpp"
 #include "pimdm/messages.hpp"
 #include "sim/timer.hpp"
 
@@ -36,7 +36,9 @@ namespace mip6 {
 
 class PimDmRouter : public DenseModeEngine {
  public:
-  PimDmRouter(Ipv6Stack& stack, MldRouter& mld, PimDmConfig config);
+  /// `mfc` selects the cached data plane (WorldConfig::mfc).
+  PimDmRouter(Ipv6Stack& stack, MldRouter& mld, PimDmConfig config,
+              bool mfc = true);
 
   // --- ProtocolModule ----------------------------------------------------
   const char* module_kind() const override { return "pimdm"; }
@@ -64,9 +66,15 @@ class PimDmRouter : public DenseModeEngine {
   /// agent "joins on behalf of" mobile nodes this way): the router will not
   /// prune itself off the (S,G) trees of the group even with an empty
   /// outgoing list. Reference-counted per caller tag.
-  void add_local_receiver(const Address& group) override;
-  void remove_local_receiver(const Address& group) override;
-  bool is_local_receiver(const Address& group) const override;
+  void add_local_receiver(const Address& group) override {
+    fwd_.add_local_receiver(group);
+  }
+  void remove_local_receiver(const Address& group) override {
+    fwd_.remove_local_receiver(group);
+  }
+  bool is_local_receiver(const Address& group) const override {
+    return fwd_.is_local_receiver(group);
+  }
 
   // --- Introspection for tests, metrics and benches ---------------------
   // SgKey comes from DenseModeEngine; PimDmRouter::SgKey stays valid at
@@ -74,7 +82,7 @@ class PimDmRouter : public DenseModeEngine {
   enum class DownstreamState { kForwarding, kPrunePending, kPruned };
 
   std::size_t entry_count() const override { return entries_.size(); }
-  std::size_t mfc_entries() const override { return mfc_.size(); }
+  std::size_t mfc_entries() const override { return fwd_.cache_size(); }
   /// Keys of every live (S,G) entry (auditor walks these).
   std::vector<SgKey> sg_keys() const override;
   bool has_entry(const Address& src, const Address& group) const override;
@@ -110,10 +118,8 @@ class PimDmRouter : public DenseModeEngine {
     /// Rate limiter for prunes sent in response to non-RPF data arrivals.
     Time last_nonrpf_prune_tx = Time::never();
   };
-  struct SgEntry {
-    Address source;
-    Address group;
-    IfaceId incoming = 0;
+  // DenseFlow: source, group, incoming interface, data-timeout timer.
+  struct SgEntry : DenseFlow {
     Address rpf_neighbor;  // unspecified when we are the first-hop router
     std::uint32_t rpf_metric = 0;
     // Best assert heard on the incoming interface so far; the winner of
@@ -126,7 +132,6 @@ class PimDmRouter : public DenseModeEngine {
     Time last_prune_tx = Time::never();
     bool graft_pending = false;
     std::unique_ptr<Timer> graft_retry_timer;
-    std::unique_ptr<Timer> entry_timer;  // data timeout
     std::unique_ptr<Timer> join_override_timer;
     /// The upstream neighbor named by the prune we are overriding (may
     /// differ from rpf_neighbor when our RPF information is stale).
@@ -159,32 +164,15 @@ class PimDmRouter : public DenseModeEngine {
   const SgEntry* find_entry(const Address& src, const Address& group) const;
   SgEntry* create_entry(const Address& src, const Address& group);
   void delete_entry(const SgKey& key);
-  std::vector<IfaceId> oiflist(const SgEntry& e) const;
-  /// The oiflist() membership predicate for one downstream interface.
+  /// The oif-list membership predicate for one downstream interface.
   bool oif_active(const SgEntry& e, IfaceId iface, const Downstream& d) const;
-  /// Allocation-free "is this interface in oiflist(e)?".
+  /// Allocation-free "is this interface in e's oif list?".
   bool in_oiflist(const SgEntry& e, IfaceId iface) const;
   bool wants_traffic(const SgEntry& e) const;
   void check_upstream(SgEntry& e);
-  /// Variant taking the already-computed wants_traffic() result so the
-  /// data path never evaluates the oif set twice for one packet.
-  void check_upstream(SgEntry& e, bool wants);
-
-  // MFC layer (config_.mfc): dense interface indices, precomputed oif
-  // bitmaps and the (S,G) flow cache the data path consults first.
-  static FlowKey flow_key(const Address& src, const Address& group);
-  /// Registers `iface` in the mif table; a renumbering insertion flushes
-  /// the whole cache (bitmaps built under the old numbering are garbage).
-  Mifi mif_of(IfaceId iface);
-  /// Re-resolves the per-RPF-iface hit/miss cells after a mif-table
-  /// change (cold path: string work happens here, never per packet).
-  void rebuild_mfc_cells();
-  /// Recomputes e's bitmap and installs it; nullptr when the entry is not
-  /// cacheable (empty oif set and no local receiver: that path stays
-  /// per-packet because it carries the rate-limited self-prune).
-  MfcEntry* refill_mfc(SgEntry& e);
-  void invalidate_mfc(const SgEntry& e);
-  void invalidate_mfc(const SgKey& key);
+  /// Invalidates and re-evaluates upstream every entry of `group` after
+  /// its local-receiver pin appeared or went away.
+  void on_local_receivers_changed(const Address& group);
 
   // Message emission.
   void send_hello(IfaceId iface);
@@ -215,24 +203,12 @@ class PimDmRouter : public DenseModeEngine {
   MldRouter* mld_;
   PimDmConfig config_;
   std::string component_;  // "pimdm/<node>", cached for trace records
-  /// Cell for the per-fan-out "pimdm/data-fwd" counter, resolved once.
-  CounterCell c_data_fwd_;
-  /// Flow-cache hit/miss cells, resolved once (hot path, no string work).
-  CounterCell c_mfc_hit_;
-  CounterCell c_mfc_miss_;
-  /// Per-RPF-interface hit/miss cells ("pimdm/mfc-hit.if<id>"), index =
-  /// mifi. Rebuilt by mif_of() whenever the mif table renumbers, so the
-  /// hot path never does string work.
-  std::vector<CounterCell> c_mfc_shard_hit_;
-  std::vector<CounterCell> c_mfc_shard_miss_;
-  /// Dense interface indices + per-RPF-iface (S,G) flow cache bank.
-  MifTable mifs_;
-  ShardedFlowCache mfc_;
+  /// The MFC data plane; this engine only decides and invalidates.
+  DenseForwarder fwd_;
   /// Every interface enable_iface() was ever called for (restart wiring).
   std::set<IfaceId> configured_;
   std::map<IfaceId, IfaceState> ifaces_;
   std::map<SgKey, std::unique_ptr<SgEntry>> entries_;
-  std::map<Address, int> local_receivers_;
 };
 
 }  // namespace mip6

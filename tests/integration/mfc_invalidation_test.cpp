@@ -34,8 +34,7 @@ struct RunOutput {
 RunOutput run_scenario(DenseEngineKind engine, bool mfc, std::uint64_t seed) {
   WorldConfig config;
   config.dense_engine = engine;
-  config.pim.mfc = mfc;
-  config.hpim.mfc = mfc;
+  config.mfc = mfc;
   // Fast hellos + a holdtime shorter than the outage below, so the crash
   // also exercises the neighbor-expiry invalidation path on RouterD's
   // peers (default holdtime would outlive the test).

@@ -87,13 +87,15 @@ TEST(MifTableTest, AddIsIdempotentAndVersionTracksInsertions) {
 }
 
 TEST(MifTableTest, WidthOverflowFailsFast) {
-  MifTable t(2);
-  t.add(10);
-  t.add(20);
-  EXPECT_THROW(t.add(30), LogicError);
+  MifTable t;
+  for (std::size_t i = 0; i < IfSet::kBits; ++i) {
+    t.add(static_cast<IfaceId>(10 + i));
+  }
+  const auto extra = static_cast<IfaceId>(10 + IfSet::kBits);
+  EXPECT_THROW(t.add(extra), LogicError);
   // The table is untouched by the failed add.
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.lookup(30), kNoMif);
+  EXPECT_EQ(t.size(), IfSet::kBits);
+  EXPECT_EQ(t.lookup(extra), kNoMif);
 }
 
 FlowKey key(std::uint64_t a, std::uint64_t b = 0) {
