@@ -5,12 +5,12 @@
 // EXPERIMENTS.md for the side-by-side record.
 #pragma once
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string_view>
 
+#include "args.hpp"
 #include "core/figure1.hpp"
 #include "core/metrics.hpp"
 #include "core/mobility.hpp"
@@ -75,11 +75,8 @@ inline void paper_note(const char* claim) {
 /// a positive decimal integer prints a usage line and exits with code 2.
 inline std::size_t parse_reps(int argc, char** argv, std::size_t fallback) {
   if (argc < 2) return fallback;
-  const std::string_view arg = argv[1];
   std::size_t reps = 0;
-  const auto [end, ec] =
-      std::from_chars(arg.data(), arg.data() + arg.size(), reps);
-  if (ec != std::errc{} || end != arg.data() + arg.size() || reps == 0) {
+  if (!parse_number(std::string_view(argv[1]), reps) || reps == 0) {
     std::fprintf(stderr,
                  "usage: %s [reps]  (reps: positive integer, default %zu)\n",
                  argv[0], fallback);

@@ -8,50 +8,15 @@ namespace mip6 {
 
 HpimDmRouter::HpimDmRouter(Ipv6Stack& stack, MldRouter& mld,
                            HpimDmConfig config, bool mfc)
-    : stack_(&stack), mld_(&mld), config_(config),
-      component_("hpimdm/" + stack.node().name()),
-      fwd_(stack, "hpimdm", config_.data_timeout, mfc,
-           [this](const Address& g) { on_local_receivers_changed(g); }) {
+    : Core(stack, mld, "hpimdm", config.data_timeout, mfc), config_(config) {
   generation_id_ = fresh_generation_id();
   leaf_reconcile_timer_ = std::make_unique<Timer>(
       stack.scheduler(), [this] { reconcile_leaf_groups(); }, stack.node().domain());
-  stack.set_mcast_forwarder(
-      [this](const ParsedDatagram& d, const Packet& pkt, IfaceId iface) {
-        on_multicast_data(d, pkt, iface);
-      });
-  stack.set_proto_handler(
-      proto::kPim,
-      [this](const ParsedDatagram& d, const Packet&, IfaceId iface) {
-        on_hpim_message(d, iface);
-      });
-  mld.set_group_callback(
-      [this](IfaceId iface, const Address& group, bool present) {
-        on_mld_change(iface, group, present);
-      });
 }
 
-void HpimDmRouter::start() {
-  for (const auto& ifp : stack_->node().interfaces()) {
-    if (ifp->attached() && configured_.contains(ifp->id())) {
-      enable_iface(ifp->id());
-    }
-  }
-}
-
-void HpimDmRouter::stop() {
-  shutdown();
-  stack_->clear_mcast_forwarder();
-  stack_->clear_proto_handler(proto::kPim);
-  mld_->set_group_callback(nullptr);
-}
-
-void HpimDmRouter::shutdown() {
-  fwd_.clear();  // cached timer pointers are about to dangle
-  entries_.clear();
-  ifaces_.clear();
+void HpimDmRouter::on_shutdown() {
   leaf_groups_.clear();
   leaf_reconcile_timer_->cancel();
-  count("hpimdm/shutdown");
 }
 
 void HpimDmRouter::on_crash() {
@@ -98,26 +63,6 @@ void HpimDmRouter::on_restart() {
   });
 }
 
-void HpimDmRouter::enable_iface(IfaceId iface) {
-  fwd_.enable_iface(iface);  // fail-fast on width overflow
-  configured_.insert(iface);
-  auto [it, fresh] = ifaces_.try_emplace(iface);
-  if (!fresh) return;
-  it->second.hello_timer = std::make_unique<Timer>(
-      stack_->scheduler(), [this, iface] {
-        send_hello(iface);
-        ifaces_.at(iface).hello_timer->arm(config_.hello_period);
-      }, stack_->node().domain());
-  // First hello immediately (triggered hello on interface up).
-  it->second.hello_timer->arm(Time::zero());
-}
-
-std::vector<IfaceId> HpimDmRouter::enabled_ifaces() const {
-  std::vector<IfaceId> out;
-  for (const auto& [iface, st] : ifaces_) out.push_back(iface);
-  return out;
-}
-
 std::size_t HpimDmRouter::retransmit_backlog() const {
   std::size_t total = 0;
   for (const auto& [iface, st] : ifaces_) {
@@ -126,60 +71,13 @@ std::size_t HpimDmRouter::retransmit_backlog() const {
   return total;
 }
 
-void HpimDmRouter::on_local_receivers_changed(const Address& group) {
-  for (auto& [key, e] : entries_) {
-    if (key.group != group) continue;
-    fwd_.invalidate(*e);
-    recompute_interest(*e);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Introspection
-
-bool HpimDmRouter::has_entry(const Address& src, const Address& group) const {
-  return entries_.contains(SgKey{src, group});
-}
-
-std::vector<HpimDmRouter::SgKey> HpimDmRouter::sg_keys() const {
-  std::vector<SgKey> out;
-  for (const auto& [key, e] : entries_) out.push_back(key);
-  return out;
-}
 
 bool HpimDmRouter::upstream_pruned(const Address& src,
                                    const Address& group) const {
   const SgEntry* e = find_entry(src, group);
   return e != nullptr && e->my_interest.has_value() && !*e->my_interest;
-}
-
-Address HpimDmRouter::rpf_neighbor_of(const Address& src,
-                                      const Address& group) const {
-  const SgEntry* e = find_entry(src, group);
-  if (e == nullptr) throw LogicError("no such (S,G) entry");
-  return e->rpf_neighbor;
-}
-
-bool HpimDmRouter::assert_loser(const Address& src, const Address& group,
-                                IfaceId iface) const {
-  const SgEntry* e = find_entry(src, group);
-  if (e == nullptr) return false;
-  auto it = e->downstream.find(iface);
-  return it != e->downstream.end() && it->second->assert_loser;
-}
-
-std::vector<IfaceId> HpimDmRouter::outgoing(const Address& src,
-                                            const Address& group) const {
-  const SgEntry* e = find_entry(src, group);
-  if (e == nullptr) return {};
-  return DenseForwarder::oiflist(
-      *e, [&](IfaceId i, const Downstream& d) { return oif_active(*e, i, d); });
-}
-
-IfaceId HpimDmRouter::incoming(const Address& src, const Address& group) const {
-  const SgEntry* e = find_entry(src, group);
-  if (e == nullptr) throw LogicError("no such (S,G) entry");
-  return e->incoming;
 }
 
 bool HpimDmRouter::downstream_pruned(const Address& src, const Address& group,
@@ -204,91 +102,8 @@ bool HpimDmRouter::downstream_pruned(const Address& src, const Address& group,
   return true;
 }
 
-std::vector<Address> HpimDmRouter::neighbors(IfaceId iface) const {
-  std::vector<Address> out;
-  auto it = ifaces_.find(iface);
-  if (it != ifaces_.end()) {
-    for (const auto& [addr, ch] : it->second.neighbors) out.push_back(addr);
-  }
-  return out;
-}
-
-bool HpimDmRouter::has_neighbors(IfaceId iface) const {
-  auto it = ifaces_.find(iface);
-  return it != ifaces_.end() && !it->second.neighbors.empty();
-}
-
 // ---------------------------------------------------------------------------
-// Entry management
-
-HpimDmRouter::SgEntry* HpimDmRouter::find_entry(const Address& src,
-                                                const Address& group) {
-  auto it = entries_.find(SgKey{src, group});
-  return it == entries_.end() ? nullptr : it->second.get();
-}
-
-const HpimDmRouter::SgEntry* HpimDmRouter::find_entry(
-    const Address& src, const Address& group) const {
-  auto it = entries_.find(SgKey{src, group});
-  return it == entries_.end() ? nullptr : it->second.get();
-}
-
-HpimDmRouter::SgEntry* HpimDmRouter::create_entry(const Address& src,
-                                                  const Address& group) {
-  const Route* route = stack_->rib().lookup(src);
-  if (route == nullptr) {
-    count("hpimdm/rpf-fail");
-    return nullptr;
-  }
-  auto e = std::make_unique<SgEntry>();
-  e->source = src;
-  e->group = group;
-  e->incoming = route->out_iface;
-  e->rpf_neighbor = route->next_hop;  // unspecified when source is on-link
-  e->rpf_metric = route->metric;
-  e->assert_winner_pref = config_.metric_preference;
-  e->assert_winner_metric = route->metric;
-  SgKey key{src, group};
-  e->entry_timer = std::make_unique<Timer>(
-      stack_->scheduler(), [this, key] { delete_entry(key); }, stack_->node().domain());
-  e->entry_timer->arm(config_.data_timeout);
-  // Dense-mode default: every enabled interface except the incoming one is
-  // a potential oif until its neighbors declare otherwise.
-  for (const auto& [iface, st] : ifaces_) {
-    if (iface == e->incoming) continue;
-    e->downstream.emplace(iface, std::make_unique<Downstream>());
-  }
-  SgEntry* raw = e.get();
-  entries_.emplace(key, std::move(e));
-  count("hpimdm/sg-created");
-  trace_event("sg-created", [&] {
-    return "src=" + src.str() + " group=" + group.str() + " iif=" +
-           std::to_string(raw->incoming);
-  });
-  return raw;
-}
-
-void HpimDmRouter::delete_entry(const SgKey& key) {
-  // Before erase: the cached data-timer pointer dies here.
-  fwd_.invalidate(key.source, key.group);
-  if (entries_.erase(key) > 0) {
-    count("hpimdm/sg-expired");
-    trace_event("sg-expired", [&] {
-      return "src=" + key.source.str() + " group=" + key.group.str();
-    });
-  }
-}
-
-HpimDmRouter::Downstream& HpimDmRouter::downstream(SgEntry& e, IfaceId iface) {
-  auto it = e.downstream.find(iface);
-  if (it == e.downstream.end()) {
-    it = e.downstream.emplace(iface, std::make_unique<Downstream>()).first;
-    // A freshly materialized record can join the oif set (dense-mode
-    // default: forwarding while its neighbors are unknown).
-    fwd_.invalidate(e);
-  }
-  return *it->second;
-}
+// Core hooks
 
 bool HpimDmRouter::oif_active(const SgEntry& e, IfaceId iface,
                               const Downstream& d) const {
@@ -307,28 +122,20 @@ bool HpimDmRouter::oif_active(const SgEntry& e, IfaceId iface,
   return false;
 }
 
-bool HpimDmRouter::in_oiflist(const SgEntry& e, IfaceId iface) const {
-  auto it = e.downstream.find(iface);
-  return it != e.downstream.end() && oif_active(e, iface, *it->second);
-}
-
-bool HpimDmRouter::wants_traffic(const SgEntry& e) const {
-  if (is_local_receiver(e.group)) return true;
-  for (const auto& [iface, d] : e.downstream) {
-    if (oif_active(e, iface, *d)) return true;
-  }
-  return false;
-}
-
-void HpimDmRouter::recompute_interest(SgEntry& e) {
+void HpimDmRouter::update_upstream(SgEntry& e) {
   if (e.rpf_neighbor.is_unspecified()) return;  // we are the first hop
-  recompute_interest(e, wants_traffic(e));
+  update_upstream(e, wants_traffic(e));
 }
 
-void HpimDmRouter::recompute_interest(SgEntry& e, bool wants) {
+void HpimDmRouter::update_upstream(SgEntry& e, bool wants) {
   if (e.rpf_neighbor.is_unspecified()) return;  // we are the first hop
   if (e.my_interest.has_value() && *e.my_interest == wants) return;
   send_interest(e, wants);
+}
+
+void HpimDmRouter::on_rpf_changed(SgEntry& e) {
+  e.my_interest.reset();
+  update_upstream(e);
 }
 
 void HpimDmRouter::apply_interest(const Address& from, IfaceId iface,
@@ -351,74 +158,15 @@ void HpimDmRouter::apply_interest(const Address& from, IfaceId iface,
     return "src=" + src.str() + " group=" + group.str() + " nbr=" +
            from.str() + " interested=" + (interested ? "1" : "0");
   });
-  recompute_interest(*e);
-}
-
-// ---------------------------------------------------------------------------
-// Data plane
-
-void HpimDmRouter::on_multicast_data(const ParsedDatagram& d,
-                                     const Packet& pkt, IfaceId iface) {
-  const Address& src = d.hdr.src;
-  const Address& group = d.hdr.dst;
-  if (src.is_multicast() || src.is_unspecified()) return;
-
-  if (fwd_.forward_hit(src, group, pkt, iface)) return;
-
-  SgEntry* e = find_entry(src, group);
-  if (e == nullptr) {
-    e = create_entry(src, group);
-    if (e == nullptr) return;
-  }
-
-  if (iface != e->incoming) {
-    // RPF re-anchor: the unicast route toward S can move (mobility, link
-    // repair, or a post-restart RIB rebuild). If the RIB now names this
-    // interface, follow it — and re-declare interest to the new upstream.
-    const Route* route = stack_->rib().lookup(src);
-    if (route != nullptr && route->out_iface == iface) {
-      e->incoming = route->out_iface;
-      e->rpf_neighbor = route->next_hop;
-      e->rpf_metric = route->metric;
-      e->assert_winner_pref = config_.metric_preference;
-      e->assert_winner_metric = route->metric;
-      e->assert_winner_addr = Address();
-      e->downstream.erase(iface);
-      e->my_interest.reset();
-      fwd_.invalidate(*e);  // cached iif/bitmap are both stale now
-      count("hpimdm/rpf-updated");
-      recompute_interest(*e);
-    }
-  }
-
-  if (iface != e->incoming) {
-    if (in_oiflist(*e, iface)) {
-      // Duplicate forwarder on this LAN: resolve by Assert, as in PIM-DM.
-      send_assert(*e, iface);
-    } else {
-      // Non-RPF bystander: declare no-interest to the forwarders on this
-      // link so they drop it from their oif lists. Reliable, so once acked
-      // this self-quenches; the rate limit only spaces the initial burst.
-      send_uninterest_nonrpf(*e, iface);
-    }
-    count("hpimdm/rx-wrong-iface");
-    return;
-  }
-
-  if (fwd_.forward(*e, pkt, [&](IfaceId i, const Downstream& ds) {
-        return oif_active(*e, i, ds);
-      })) {
-    return;
-  }
-  // Nothing downstream: tell the upstream once, reliably.
-  recompute_interest(*e, false);
+  update_upstream(*e);
 }
 
 // ---------------------------------------------------------------------------
 // Control plane
 
-void HpimDmRouter::on_hpim_message(const ParsedDatagram& d, IfaceId iface) {
-  if (!hpim_enabled(iface)) return;
+void HpimDmRouter::on_control_message(const ParsedDatagram& d,
+                                      IfaceId iface) {
+  if (!iface_enabled(iface)) return;
   auto reject = [&](const ParseFailure& f) {
     count("hpimdm/rx-drop/parse-error");
     note_parse_reject(stack_->network(), "hpimdm", f);
@@ -575,7 +323,7 @@ void HpimDmRouter::neighbor_failed(IfaceId iface, const Address& nbr,
     auto dit = e->downstream.find(iface);
     if (dit != e->downstream.end() &&
         dit->second->declared.erase(nbr) > 0) {
-      recompute_interest(*e);
+      update_upstream(*e);
     }
     if (e->incoming == iface && e->rpf_neighbor == nbr) {
       // Upstream gone: undeclared until a replacement (assert winner or
@@ -647,22 +395,9 @@ void HpimDmRouter::on_assert(const HpimAssert& a, const Address& from,
   if (iface == e->incoming) {
     // Downstream observer: the assert winner becomes our RPF neighbor —
     // and our interest must be re-declared to the new upstream.
-    bool better;
-    if (a.metric_preference != e->assert_winner_pref) {
-      better = a.metric_preference < e->assert_winner_pref;
-    } else if (a.metric != e->assert_winner_metric) {
-      better = a.metric < e->assert_winner_metric;
-    } else {
-      better = e->assert_winner_addr.is_unspecified() ||
-               from > e->assert_winner_addr;
-    }
-    if (better && e->rpf_neighbor != from) {
-      e->assert_winner_pref = a.metric_preference;
-      e->assert_winner_metric = a.metric;
-      e->assert_winner_addr = from;
-      e->rpf_neighbor = from;
+    if (e->rpf_neighbor != from && observe_assert(*e, a, from)) {
       e->my_interest.reset();
-      recompute_interest(*e);
+      update_upstream(*e);
     }
     return;
   }
@@ -671,38 +406,10 @@ void HpimDmRouter::on_assert(const HpimAssert& a, const Address& from,
   if (it == e->downstream.end()) return;
   Downstream& d = *it->second;
   if (d.assert_loser) return;
-  Address my_addr = source_address(iface);
-  bool they_win;
-  if (a.metric_preference != config_.metric_preference) {
-    they_win = a.metric_preference < config_.metric_preference;
-  } else if (a.metric != e->rpf_metric) {
-    they_win = a.metric < e->rpf_metric;
-  } else {
-    they_win = from > my_addr;
-  }
-  if (they_win) {
-    d.assert_loser = true;
-    fwd_.invalidate(*e);
-    count("hpimdm/assert-lost");
-    trace_event("assert-lost", [&] {
-      return "src=" + e->source.str() + " group=" + e->group.str() +
-             " iface=" + std::to_string(iface) + " winner=" + from.str();
-    });
-    SgKey key{a.source, a.group};
-    if (!d.assert_timer) {
-      d.assert_timer = std::make_unique<Timer>(
-          stack_->scheduler(), [this, key, iface] {
-            SgEntry* en = find_entry(key.source, key.group);
-            if (en == nullptr) return;
-            auto dit = en->downstream.find(iface);
-            if (dit != en->downstream.end()) {
-              dit->second->assert_loser = false;
-              fwd_.invalidate(key.source, key.group);
-            }
-          }, stack_->node().domain());
-    }
-    d.assert_timer->arm(config_.assert_time);
-    recompute_interest(*e);
+  if (assert_beats(a, from, config_.metric_preference, e->rpf_metric,
+                   source_address(iface))) {
+    lose_assert(*e, d, iface, from);
+    update_upstream(*e);
   } else {
     send_assert(*e, iface);  // defend our role as forwarder
   }
@@ -719,12 +426,7 @@ void HpimDmRouter::on_mld_change(IfaceId iface, const Address& group,
       if (it->second.empty()) leaf_groups_.erase(it);
     }
   }
-  for (auto& [key, e] : entries_) {
-    if (key.group != group) continue;
-    if (present && iface != e->incoming) downstream(*e, iface);
-    fwd_.invalidate(*e);
-    recompute_interest(*e);
-  }
+  Core::on_mld_change(iface, group, present);
 }
 
 void HpimDmRouter::reconcile_leaf_groups() {
@@ -903,7 +605,7 @@ void HpimDmRouter::send_interest(SgEntry& e, bool interested) {
   });
 }
 
-void HpimDmRouter::send_uninterest_nonrpf(SgEntry& e, IfaceId iface) {
+void HpimDmRouter::on_nonrpf_data(SgEntry& e, IfaceId iface) {
   Downstream& d = downstream(e, iface);
   if (d.assert_loser) return;  // the elected forwarder serves this LAN
   if (!d.last_nonrpf_tx.is_never() &&
@@ -924,34 +626,12 @@ void HpimDmRouter::send_uninterest_nonrpf(SgEntry& e, IfaceId iface) {
   }
 }
 
-void HpimDmRouter::send_assert(SgEntry& e, IfaceId iface) {
-  Downstream& d = downstream(e, iface);
-  if (!d.last_assert_tx.is_never() &&
-      now() - d.last_assert_tx < config_.assert_rate_limit) {
-    return;
-  }
-  d.last_assert_tx = now();
-  HpimAssert a;
-  a.group = e.group;
-  a.source = e.source;
-  a.metric_preference = config_.metric_preference;
-  a.metric = e.rpf_metric;
-  emit(iface, HpimType::kAssert, a.body(), Address::all_pim_routers());
-  count("hpimdm/tx/assert");
-  trace_event("tx-assert", [&] {
-    return "src=" + e.source.str() + " group=" + e.group.str() + " iface=" +
-           std::to_string(iface);
-  });
-}
-
 std::uint32_t HpimDmRouter::fresh_generation_id() {
   // Drawn from the per-network deterministic RNG: same seed, same ids,
   // byte-identical traces.
   return static_cast<std::uint32_t>(stack_->network().rng().next_u64());
 }
 
-void HpimDmRouter::count(std::string_view name, std::uint64_t delta) {
-  stack_->network().counters().add(name, delta);
-}
+template class DenseEngineCore<HpimDmRouter, HpimDmEntry, HpimDmNeighbor>;
 
 }  // namespace mip6

@@ -7,11 +7,13 @@
 // and benches — talks to this interface so a ScenarioSpec can swap engines
 // without touching the rest of the simulation.
 //
-// The data path is NOT behind these virtuals: both engines compose one
-// DenseForwarder (pimdm/dense_forwarder.hpp), the shared MFC data plane,
-// and each engine's multicast-forwarder hook on the Ipv6Stack calls its
-// cache-hit path directly, so the engine abstraction adds zero cost per
-// forwarded packet.
+// Both engines derive from one DenseEngineCore (pimdm/dense_engine_core.hpp),
+// which implements every virtual here except upstream_pruned() and
+// downstream_pruned(), the two answers that depend on the control plane.
+// The data path is NOT behind these virtuals: the core installs the
+// stack's multicast-forwarder hook itself, and that path reaches the
+// DenseForwarder and the engine's hooks statically, so the abstraction
+// adds zero cost per forwarded packet.
 #pragma once
 
 #include <cstddef>

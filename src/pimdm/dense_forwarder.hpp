@@ -1,15 +1,15 @@
-// The dense-mode multicast data plane, shared by both control planes.
+// The dense-mode multicast data plane: one per router, owned by the
+// DenseEngineCore both control planes share.
 //
 // PIM-DM and HPIM-DM differ only in how they decide an (S,G) entry's
 // outgoing interfaces; forwarding is the same kernel-style MFC (the mroute6
 // idiom: the routing daemon fills and flushes the cache with
-// MRT6_ADD_MFC / MRT6_DEL_MFC, the kernel forwards from it). One
-// DenseForwarder per router owns that MFC: the dense interface indices, the
+// MRT6_ADD_MFC / MRT6_DEL_MFC, the kernel forwards from it). The
+// forwarder owns that MFC: the dense interface indices, the
 // per-RPF-interface (S,G) flow cache, the hit/miss counters, the
-// local-receiver pins and the uncached reference path. An engine keeps its
-// state machine, answers one question — is this downstream interface in the
-// entry's oif list? — and calls invalidate() on every transition that can
-// change the answer.
+// local-receiver refcount and the uncached reference path. It knows no
+// control plane: the caller passes the oif predicate into forward() and
+// calls invalidate() on every transition that can change its answer.
 //
 // Hot path: forward_hit() is one cache probe, one data-timeout re-arm and
 // one bitmap fan-out, with no virtual call and no allocation.
@@ -29,10 +29,10 @@
 
 namespace mip6 {
 
-/// The part of an engine's (S,G) entry the data plane reads. Each engine's
-/// entry derives from it and adds a `downstream` map (IfaceId -> owning
-/// pointer to the engine's per-interface record) whose keys are the
-/// candidate outgoing interfaces.
+/// The part of an (S,G) entry the data plane reads. DenseEntry
+/// (dense_engine_core.hpp) derives from it and adds the `downstream` map
+/// (IfaceId -> owning pointer to the engine's per-interface record) whose
+/// keys are the candidate outgoing interfaces.
 struct DenseFlow {
   Address source;
   Address group;

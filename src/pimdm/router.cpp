@@ -1,132 +1,20 @@
 #include "pimdm/router.hpp"
 
-#include <algorithm>
-
 #include "net/wire_stats.hpp"
 
 namespace mip6 {
 
 PimDmRouter::PimDmRouter(Ipv6Stack& stack, MldRouter& mld, PimDmConfig config,
                          bool mfc)
-    : stack_(&stack), mld_(&mld), config_(config),
-      component_("pimdm/" + stack.node().name()),
-      fwd_(stack, "pimdm", config_.data_timeout, mfc,
-           [this](const Address& g) { on_local_receivers_changed(g); }) {
-  stack.set_mcast_forwarder(
-      [this](const ParsedDatagram& d, const Packet& pkt, IfaceId iface) {
-        on_multicast_data(d, pkt, iface);
-      });
-  stack.set_proto_handler(
-      proto::kPim,
-      [this](const ParsedDatagram& d, const Packet&, IfaceId iface) {
-        on_pim_message(d, iface);
-      });
-  mld.set_group_callback(
-      [this](IfaceId iface, const Address& group, bool present) {
-        on_mld_change(iface, group, present);
-      });
-}
-
-void PimDmRouter::start() {
-  for (const auto& ifp : stack_->node().interfaces()) {
-    if (ifp->attached() && configured_.contains(ifp->id())) {
-      enable_iface(ifp->id());
-    }
-  }
-}
-
-void PimDmRouter::stop() {
-  shutdown();
-  stack_->clear_mcast_forwarder();
-  stack_->clear_proto_handler(proto::kPim);
-  mld_->set_group_callback(nullptr);
-}
-
-void PimDmRouter::enable_iface(IfaceId iface) {
-  configured_.insert(iface);
-  fwd_.enable_iface(iface);  // fail-fast on width overflow
-  auto [it, fresh] = ifaces_.try_emplace(iface);
-  if (!fresh) return;
-  it->second.hello_timer = std::make_unique<Timer>(
-      stack_->scheduler(), [this, iface] {
-        send_hello(iface);
-        ifaces_.at(iface).hello_timer->arm(config_.hello_period);
-      }, stack_->node().domain());
-  // First hello immediately (triggered hello on interface up).
-  it->second.hello_timer->arm(Time::zero());
-}
-
-void PimDmRouter::shutdown() {
-  // unique_ptr destruction cancels every timer (hello, neighbor liveness,
-  // prune, assert, graft-retry, entry, state-refresh).
-  entries_.clear();
-  ifaces_.clear();
-  fwd_.clear();  // cached timer pointers just dangled
-  count("pimdm/shutdown");
-}
-
-std::vector<IfaceId> PimDmRouter::enabled_ifaces() const {
-  std::vector<IfaceId> out;
-  for (const auto& [iface, st] : ifaces_) out.push_back(iface);
-  return out;
-}
-
-void PimDmRouter::on_local_receivers_changed(const Address& group) {
-  // Existing pruned entries for this group must be re-grafted (or, on the
-  // last pin's removal, pruned again).
-  for (auto& [key, e] : entries_) {
-    if (key.group != group) continue;
-    fwd_.invalidate(*e);
-    check_upstream(*e);
-  }
-}
+    : Core(stack, mld, "pimdm", config.data_timeout, mfc), config_(config) {}
 
 // ---------------------------------------------------------------------------
 // Introspection
-
-bool PimDmRouter::has_entry(const Address& src, const Address& group) const {
-  return entries_.contains(SgKey{src, group});
-}
-
-std::vector<PimDmRouter::SgKey> PimDmRouter::sg_keys() const {
-  std::vector<SgKey> out;
-  for (const auto& [key, e] : entries_) out.push_back(key);
-  return out;
-}
 
 bool PimDmRouter::upstream_pruned(const Address& src,
                                   const Address& group) const {
   const SgEntry* e = find_entry(src, group);
   return e != nullptr && e->upstream_pruned;
-}
-
-Address PimDmRouter::rpf_neighbor_of(const Address& src,
-                                     const Address& group) const {
-  const SgEntry* e = find_entry(src, group);
-  if (e == nullptr) throw LogicError("no such (S,G) entry");
-  return e->rpf_neighbor;
-}
-
-bool PimDmRouter::assert_loser(const Address& src, const Address& group,
-                               IfaceId iface) const {
-  const SgEntry* e = find_entry(src, group);
-  if (e == nullptr) return false;
-  auto it = e->downstream.find(iface);
-  return it != e->downstream.end() && it->second->assert_loser;
-}
-
-std::vector<IfaceId> PimDmRouter::outgoing(const Address& src,
-                                           const Address& group) const {
-  const SgEntry* e = find_entry(src, group);
-  if (e == nullptr) return {};
-  return DenseForwarder::oiflist(
-      *e, [&](IfaceId i, const Downstream& d) { return oif_active(*e, i, d); });
-}
-
-IfaceId PimDmRouter::incoming(const Address& src, const Address& group) const {
-  const SgEntry* e = find_entry(src, group);
-  if (e == nullptr) throw LogicError("no such (S,G) entry");
-  return e->incoming;
 }
 
 PimDmRouter::DownstreamState PimDmRouter::downstream_state(
@@ -147,55 +35,12 @@ bool PimDmRouter::downstream_pruned(const Address& src, const Address& group,
          it->second->state == DownstreamState::kPruned;
 }
 
-std::vector<Address> PimDmRouter::neighbors(IfaceId iface) const {
-  std::vector<Address> out;
-  auto it = ifaces_.find(iface);
-  if (it != ifaces_.end()) {
-    for (const auto& [addr, timer] : it->second.neighbors) out.push_back(addr);
-  }
-  return out;
-}
-
-bool PimDmRouter::has_neighbors(IfaceId iface) const {
-  auto it = ifaces_.find(iface);
-  return it != ifaces_.end() && !it->second.neighbors.empty();
-}
-
 // ---------------------------------------------------------------------------
-// Entry management
+// Core hooks
 
-PimDmRouter::SgEntry* PimDmRouter::find_entry(const Address& src,
-                                              const Address& group) {
-  auto it = entries_.find(SgKey{src, group});
-  return it == entries_.end() ? nullptr : it->second.get();
-}
-
-const PimDmRouter::SgEntry* PimDmRouter::find_entry(
-    const Address& src, const Address& group) const {
-  auto it = entries_.find(SgKey{src, group});
-  return it == entries_.end() ? nullptr : it->second.get();
-}
-
-PimDmRouter::SgEntry* PimDmRouter::create_entry(const Address& src,
-                                                const Address& group) {
-  const Route* route = stack_->rib().lookup(src);
-  if (route == nullptr) {
-    count("pimdm/rpf-fail");
-    return nullptr;
-  }
-  auto e = std::make_unique<SgEntry>();
-  e->source = src;
-  e->group = group;
-  e->incoming = route->out_iface;
-  e->rpf_neighbor = route->next_hop;  // unspecified when source is on-link
-  e->rpf_metric = route->metric;
-  e->assert_winner_pref = config_.metric_preference;
-  e->assert_winner_metric = route->metric;
-  SgKey key{src, group};
-  e->entry_timer = std::make_unique<Timer>(
-      stack_->scheduler(), [this, key] { delete_entry(key); }, stack_->node().domain());
-  e->entry_timer->arm(config_.data_timeout);
-  e->graft_retry_timer = std::make_unique<Timer>(
+void PimDmRouter::on_entry_created(SgEntry& e, const Route& route) {
+  const SgKey key{e.source, e.group};
+  e.graft_retry_timer = std::make_unique<Timer>(
       stack_->scheduler(), [this, key] {
         SgEntry* entry = find_entry(key.source, key.group);
         if (entry != nullptr && entry->graft_pending) {
@@ -203,7 +48,7 @@ PimDmRouter::SgEntry* PimDmRouter::create_entry(const Address& src,
           send_graft_upstream(*entry);
         }
       }, stack_->node().domain());
-  e->join_override_timer = std::make_unique<Timer>(
+  e.join_override_timer = std::make_unique<Timer>(
       stack_->scheduler(), [this, key] {
         SgEntry* entry = find_entry(key.source, key.group);
         if (entry != nullptr && wants_traffic(*entry)) {
@@ -215,54 +60,17 @@ PimDmRouter::SgEntry* PimDmRouter::create_entry(const Address& src,
           send_join_override(*entry, target);
         }
       }, stack_->node().domain());
-  // Dense mode: initially forward onto every PIM interface (except the
-  // incoming one). Interfaces without PIM neighbors contribute to the oif
-  // list only via MLD listeners — see oif_active().
-  for (const auto& [iface, st] : ifaces_) {
-    if (iface == e->incoming) continue;
-    e->downstream.emplace(iface, std::make_unique<Downstream>());
-  }
-  if (config_.state_refresh && route->on_link()) {
+  if (config_.state_refresh && route.on_link()) {
     // We are a first-hop router for this source: originate refresh waves.
-    e->state_refresh_timer = std::make_unique<Timer>(
+    e.state_refresh_timer = std::make_unique<Timer>(
         stack_->scheduler(), [this, key] {
           SgEntry* entry = find_entry(key.source, key.group);
           if (entry == nullptr) return;
           originate_state_refresh(*entry);
           entry->state_refresh_timer->arm(config_.state_refresh_interval);
         }, stack_->node().domain());
-    e->state_refresh_timer->arm(config_.state_refresh_interval);
+    e.state_refresh_timer->arm(config_.state_refresh_interval);
   }
-  SgEntry* raw = e.get();
-  entries_.emplace(key, std::move(e));
-  count("pimdm/sg-created");
-  trace_event("sg-created", [&] {
-    return "src=" + src.str() + " group=" + group.str() + " iif=" +
-           std::to_string(raw->incoming);
-  });
-  return raw;
-}
-
-void PimDmRouter::delete_entry(const SgKey& key) {
-  // Before erase: the cached data-timer pointer dies here.
-  fwd_.invalidate(key.source, key.group);
-  if (entries_.erase(key) > 0) {
-    count("pimdm/sg-expired");
-    trace_event("sg-expired", [&] {
-      return "src=" + key.source.str() + " group=" + key.group.str();
-    });
-  }
-}
-
-PimDmRouter::Downstream& PimDmRouter::downstream(SgEntry& e, IfaceId iface) {
-  auto it = e.downstream.find(iface);
-  if (it == e.downstream.end()) {
-    it = e.downstream.emplace(iface, std::make_unique<Downstream>()).first;
-    // A freshly materialized record can join the oif set (it starts in
-    // kForwarding, the dense-mode default).
-    fwd_.invalidate(e);
-  }
-  return *it->second;
 }
 
 bool PimDmRouter::oif_active(const SgEntry& e, IfaceId iface,
@@ -270,25 +78,13 @@ bool PimDmRouter::oif_active(const SgEntry& e, IfaceId iface,
   if (iface == e.incoming) return false;
   if (d.assert_loser) return false;
   // Members always get traffic; otherwise forward only where PIM
-  // neighbors exist and have not pruned.
+  // neighbors exist and have not pruned. Interfaces without neighbors
+  // contribute only via MLD listeners.
   return mld_->has_listeners(iface, e.group) ||
          ((d.state != DownstreamState::kPruned) && has_neighbors(iface));
 }
 
-bool PimDmRouter::in_oiflist(const SgEntry& e, IfaceId iface) const {
-  auto it = e.downstream.find(iface);
-  return it != e.downstream.end() && oif_active(e, iface, *it->second);
-}
-
-bool PimDmRouter::wants_traffic(const SgEntry& e) const {
-  if (is_local_receiver(e.group)) return true;
-  for (const auto& [iface, d] : e.downstream) {
-    if (oif_active(e, iface, *d)) return true;
-  }
-  return false;
-}
-
-void PimDmRouter::check_upstream(SgEntry& e) {
+void PimDmRouter::update_upstream(SgEntry& e) {
   if (e.rpf_neighbor.is_unspecified()) return;  // we are the first hop
   if (wants_traffic(e)) {
     if (e.upstream_pruned) send_graft_upstream(e);
@@ -297,104 +93,38 @@ void PimDmRouter::check_upstream(SgEntry& e) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Data plane
-
-void PimDmRouter::on_multicast_data(const ParsedDatagram& d, const Packet& pkt,
-                                    IfaceId iface) {
-  // PIM control traffic also arrives here (it is multicast to ff02::d), but
-  // link-scope groups are filtered before the forwarder hook; only routable
-  // group data reaches this point.
-  const Address& src = d.hdr.src;
-  const Address& group = d.hdr.dst;
-  if (src.is_multicast() || src.is_unspecified()) return;
-
-  // Fast path: a fresh flow-cache entry holds the whole forwarding
-  // decision; the state machines below are only consulted on a miss.
-  if (fwd_.forward_hit(src, group, pkt, iface)) return;
-
-  SgEntry* e = find_entry(src, group);
-  if (e == nullptr) {
-    e = create_entry(src, group);
-    if (e == nullptr) return;
+void PimDmRouter::on_nonrpf_data(SgEntry& e, IfaceId iface) {
+  // Tell the forwarder(s) on this link to prune: without this, loops in
+  // the topology keep branches alive forever (any router that still
+  // legitimately needs the link overrides with a Join, and MLD members
+  // keep it in the forwarder's oif list anyway). Assert losers stay
+  // silent: the elected forwarder serves this LAN and pruning it would
+  // fight the election outcome.
+  Downstream& ds = downstream(e, iface);
+  if (!ds.assert_loser &&
+      (ds.last_nonrpf_prune_tx.is_never() ||
+       now() - ds.last_nonrpf_prune_tx >= config_.assert_rate_limit)) {
+    send_nonrpf_prune(e, iface, ds);
   }
+}
 
-  if (iface != e->incoming) {
-    // RPF change handling: with a live routing protocol the unicast route
-    // toward S can move after the entry was created. If the RIB now says
-    // this interface *is* the RPF interface, update the entry instead of
-    // treating good data as misrouted.
-    const Route* route = stack_->rib().lookup(src);
-    if (route != nullptr && route->out_iface == iface) {
-      e->incoming = route->out_iface;
-      e->rpf_neighbor = route->next_hop;
-      e->rpf_metric = route->metric;
-      e->assert_winner_pref = config_.metric_preference;
-      e->assert_winner_metric = route->metric;
-      e->assert_winner_addr = Address();
-      e->downstream.erase(iface);  // the new incoming iface is not an oif
-      fwd_.invalidate(*e);          // cached iif/bitmap are both stale now
-      count("pimdm/rpf-updated");
-    }
-  }
-
-  if (iface != e->incoming) {
-    // Arrived on an outgoing interface: if we actively forward on it (the
-    // interface is in the oif list), this is the Assert trigger (duplicate
-    // forwarder — or, in the paper's mobile-sender case, a moved sender
-    // emitting with a stale source onto a tree link). Otherwise we are a
-    // non-RPF bystander: tell the forwarder(s) on this link to prune —
-    // without this, loops in the topology keep branches alive forever
-    // (any router that still legitimately needs the link overrides with a
-    // Join, and MLD members keep it in the forwarder's oif list anyway).
-    if (in_oiflist(*e, iface)) {
-      send_assert(*e, iface);
-    } else {
-      Downstream& ds = downstream(*e, iface);
-      // Assert losers stay silent: the elected forwarder serves this LAN
-      // and pruning it would fight the election outcome.
-      if (!ds.assert_loser &&
-          (ds.last_nonrpf_prune_tx.is_never() ||
-           now() - ds.last_nonrpf_prune_tx >= config_.assert_rate_limit)) {
-        ds.last_nonrpf_prune_tx = now();
-        auto holdtime =
-            static_cast<std::uint16_t>(config_.prune_hold_time.to_seconds());
-        for (const Address& nbr : neighbors(iface)) {
-          PimJoinPrune m =
-              PimJoinPrune::prune(nbr, e->source, e->group, holdtime);
-          emit(iface, PimType::kJoinPrune, m.body(),
-               Address::all_pim_routers());
-          count("pimdm/tx/nonrpf-prune");
-        }
-      }
-    }
-    count("pimdm/rx-wrong-iface");
-    return;
-  }
-
-  // Miss path: rebuild and install the bitmap, forward. The next packet of
-  // this flow hits the cache until a control-plane transition invalidates
-  // it.
-  if (fwd_.forward(*e, pkt, [&](IfaceId i, const Downstream& ds) {
-        return oif_active(*e, i, ds);
-      })) {
-    return;
-  }
-  // Nothing downstream: prune ourselves off the tree (rate-limited; on a
-  // LAN the upstream may keep transmitting because a sibling overrode).
-  // Deliberately uncached so the rate limiter keeps seeing every packet.
-  if (!e->rpf_neighbor.is_unspecified() &&
-      (e->last_prune_tx.is_never() ||
-       now() - e->last_prune_tx >= config_.prune_hold_time)) {
-    send_prune_upstream(*e);
+void PimDmRouter::on_nothing_downstream(SgEntry& e) {
+  // Prune ourselves off the tree (rate-limited; on a LAN the upstream may
+  // keep transmitting because a sibling overrode). Deliberately uncached
+  // so the rate limiter keeps seeing every packet.
+  if (!e.rpf_neighbor.is_unspecified() &&
+      (e.last_prune_tx.is_never() ||
+       now() - e.last_prune_tx >= config_.prune_hold_time)) {
+    send_prune_upstream(e);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Control plane
 
-void PimDmRouter::on_pim_message(const ParsedDatagram& d, IfaceId iface) {
-  if (!pim_enabled(iface)) return;
+void PimDmRouter::on_control_message(const ParsedDatagram& d,
+                                     IfaceId iface) {
+  if (!iface_enabled(iface)) return;
   auto reject = [&](const ParseFailure& f) {
     count("pimdm/rx-drop/parse-error");
     note_parse_reject(stack_->network(), "pimdm", f);
@@ -550,12 +280,12 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
                             // Downstream interest is presumed again; if we
                             // had pruned ourselves upstream meanwhile, we
                             // must graft back or the branch stays dark.
-                            check_upstream(*en);
+                            update_upstream(*en);
                           }
                         }, stack_->node().domain());
                   }
                   dd.prune_expiry_timer->arm(hold);
-                  check_upstream(*entry);
+                  update_upstream(*entry);
                 }, stack_->node().domain());
           }
           d.prune_pending_timer->arm(config_.prune_delay);
@@ -620,7 +350,7 @@ void PimDmRouter::on_graft(const PimJoinPrune& graft, const Address& from,
       d.state = DownstreamState::kForwarding;
       fwd_.invalidate(*e);
       count("pimdm/graft-processed");
-      check_upstream(*e);  // cascade the graft upstream if we had pruned
+      update_upstream(*e);  // cascade the graft upstream if we had pruned
     }
   }
   send_graft_ack(graft, from, iface);
@@ -647,23 +377,8 @@ void PimDmRouter::on_assert(const PimAssert& a, const Address& from,
   if (iface == e->incoming) {
     // Downstream observer: the assert *winner* becomes our RPF neighbor
     // (draft: "downstream routers ... store the elected forwarder for
-    // later protocol actions"). Track the best (preference, metric,
-    // address) tuple seen so the outcome is independent of arrival order.
-    bool better;
-    if (a.metric_preference != e->assert_winner_pref) {
-      better = a.metric_preference < e->assert_winner_pref;
-    } else if (a.metric != e->assert_winner_metric) {
-      better = a.metric < e->assert_winner_metric;
-    } else {
-      better = e->assert_winner_addr.is_unspecified() ||
-               from > e->assert_winner_addr;
-    }
-    if (better) {
-      e->assert_winner_pref = a.metric_preference;
-      e->assert_winner_metric = a.metric;
-      e->assert_winner_addr = from;
-      e->rpf_neighbor = from;
-    }
+    // later protocol actions").
+    observe_assert(*e, a, from);
     return;
   }
 
@@ -672,39 +387,9 @@ void PimDmRouter::on_assert(const PimAssert& a, const Address& from,
   Downstream& d = *it->second;
   if (d.state != DownstreamState::kForwarding || d.assert_loser) return;
 
-  // Compare (preference, metric, address); lower tuple wins on pref/metric,
-  // higher address wins ties.
-  Address my_addr = stack_->link_local_address(iface);
-  bool they_win;
-  if (a.metric_preference != config_.metric_preference) {
-    they_win = a.metric_preference < config_.metric_preference;
-  } else if (a.metric != e->rpf_metric) {
-    they_win = a.metric < e->rpf_metric;
-  } else {
-    they_win = from > my_addr;
-  }
-  if (they_win) {
-    d.assert_loser = true;
-    fwd_.invalidate(*e);
-    count("pimdm/assert-lost");
-    trace_event("assert-lost", [&] {
-      return "src=" + e->source.str() + " group=" + e->group.str() +
-             " iface=" + std::to_string(iface) + " winner=" + from.str();
-    });
-    SgKey key{a.source, a.group};
-    if (!d.assert_timer) {
-      d.assert_timer = std::make_unique<Timer>(
-          stack_->scheduler(), [this, key, iface] {
-            SgEntry* en = find_entry(key.source, key.group);
-            if (en == nullptr) return;
-            auto dit = en->downstream.find(iface);
-            if (dit != en->downstream.end()) {
-              dit->second->assert_loser = false;
-              fwd_.invalidate(key.source, key.group);
-            }
-          }, stack_->node().domain());
-    }
-    d.assert_timer->arm(config_.assert_time);
+  if (assert_beats(a, from, config_.metric_preference, e->rpf_metric,
+                   stack_->link_local_address(iface))) {
+    lose_assert(*e, d, iface, from);
     // A loser that doesn't consume from this LAN itself (it is not its RPF
     // interface) prunes toward the winner; routers that do depend on the
     // LAN answer with an overriding Join, so this only clears truly
@@ -717,23 +402,10 @@ void PimDmRouter::on_assert(const PimAssert& a, const Address& from,
       emit(iface, PimType::kJoinPrune, m.body(), Address::all_pim_routers());
       count("pimdm/tx/assert-loser-prune");
     }
-    check_upstream(*e);
+    update_upstream(*e);
   } else {
     send_assert(*e, iface);  // defend our role as forwarder
   }
-}
-
-void PimDmRouter::on_mld_change(IfaceId iface, const Address& group,
-                                bool present) {
-  for (auto& [key, e] : entries_) {
-    if (key.group != group) continue;
-    if (present) {
-      if (iface != e->incoming) downstream(*e, iface);  // materialize state
-    }
-    fwd_.invalidate(*e);
-    check_upstream(*e);
-  }
-  (void)iface;
 }
 
 void PimDmRouter::on_state_refresh(const PimStateRefresh& sr, IfaceId iface) {
@@ -751,18 +423,7 @@ void PimDmRouter::on_state_refresh(const PimStateRefresh& sr, IfaceId iface) {
     // into a re-flood (RFC 3973 Prune-Indicator handling).
     if (!in_oiflist(*e, iface)) {
       Downstream& d = downstream(*e, iface);
-      if (!d.assert_loser) {
-        d.last_nonrpf_prune_tx = now();
-        auto holdtime =
-            static_cast<std::uint16_t>(config_.prune_hold_time.to_seconds());
-        for (const Address& nbr : neighbors(iface)) {
-          PimJoinPrune m =
-              PimJoinPrune::prune(nbr, e->source, e->group, holdtime);
-          emit(iface, PimType::kJoinPrune, m.body(),
-               Address::all_pim_routers());
-          count("pimdm/tx/nonrpf-prune");
-        }
-      }
+      if (!d.assert_loser) send_nonrpf_prune(*e, iface, d);
     }
     return;
   }
@@ -880,24 +541,16 @@ void PimDmRouter::send_join_override(SgEntry& e, const Address& upstream) {
   });
 }
 
-void PimDmRouter::send_assert(SgEntry& e, IfaceId iface) {
-  Downstream& d = downstream(e, iface);
-  if (!d.last_assert_tx.is_never() &&
-      now() - d.last_assert_tx < config_.assert_rate_limit) {
-    return;
+void PimDmRouter::send_nonrpf_prune(SgEntry& e, IfaceId iface,
+                                    Downstream& d) {
+  d.last_nonrpf_prune_tx = now();
+  auto holdtime =
+      static_cast<std::uint16_t>(config_.prune_hold_time.to_seconds());
+  for (const Address& nbr : neighbors(iface)) {
+    PimJoinPrune m = PimJoinPrune::prune(nbr, e.source, e.group, holdtime);
+    emit(iface, PimType::kJoinPrune, m.body(), Address::all_pim_routers());
+    count("pimdm/tx/nonrpf-prune");
   }
-  d.last_assert_tx = now();
-  PimAssert a;
-  a.group = e.group;
-  a.source = e.source;
-  a.metric_preference = config_.metric_preference;
-  a.metric = e.rpf_metric;
-  emit(iface, PimType::kAssert, a.body(), Address::all_pim_routers());
-  count("pimdm/tx/assert");
-  trace_event("tx-assert", [&] {
-    return "src=" + e.source.str() + " group=" + e.group.str() + " iface=" +
-           std::to_string(iface);
-  });
 }
 
 void PimDmRouter::send_graft_ack(const PimJoinPrune& graft, const Address& to,
@@ -910,8 +563,7 @@ void PimDmRouter::send_graft_ack(const PimJoinPrune& graft, const Address& to,
   });
 }
 
-void PimDmRouter::count(std::string_view name, std::uint64_t delta) {
-  stack_->network().counters().add(name, delta);
-}
+template class DenseEngineCore<PimDmRouter, PimDmEntry,
+                               std::unique_ptr<Timer>>;
 
 }  // namespace mip6

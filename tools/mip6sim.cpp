@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "fault/search.hpp"
 #include "report.hpp"
 #include "scenario/run.hpp"
@@ -97,6 +98,19 @@ struct ArgParser {
     }
     return argv[++i];
   }
+  /// The option's value as a non-negative decimal number; empty,
+  /// non-numeric, trailing-garbage or negative values are bad usage.
+  template <typename T>
+  T number(const std::string& arg) {
+    const char* text = value(arg);
+    T out{};
+    if (!bench::parse_number(std::string_view(text), out)) {
+      std::fprintf(stderr, "%s: %s needs a non-negative number, got '%s'\n",
+                   argv[0], arg.c_str(), text);
+      std::exit(2);
+    }
+    return out;
+  }
 };
 
 int write_bench_report(const std::string& out_path, const std::string& name,
@@ -165,15 +179,13 @@ int cmd_run(int argc, char** argv) {
   for (; args.i < argc; ++args.i) {
     const std::string arg = argv[args.i];
     if (arg == "--replications") {
-      replications =
-          static_cast<std::size_t>(std::strtoull(args.value(arg), nullptr, 10));
+      replications = args.number<std::size_t>(arg);
     } else if (arg == "--seed") {
-      seed = std::strtoull(args.value(arg), nullptr, 10);
+      seed = args.number<std::uint64_t>(arg);
     } else if (arg == "--threads") {
-      threads =
-          static_cast<std::size_t>(std::strtoull(args.value(arg), nullptr, 10));
+      threads = args.number<std::size_t>(arg);
     } else if (arg == "--duration") {
-      duration = Time::seconds(std::strtod(args.value(arg), nullptr));
+      duration = Time::seconds(args.number<double>(arg));
     } else if (arg == "--out") {
       out_path = args.value(arg);
     } else if (arg == "--help" || arg == "-h") {
@@ -321,24 +333,21 @@ int cmd_chaos_search(int argc, char** argv) {
   for (; args.i < argc; ++args.i) {
     const std::string arg = argv[args.i];
     if (arg == "--budget") {
-      cfg.budget =
-          static_cast<std::size_t>(std::strtoull(args.value(arg), nullptr, 10));
+      cfg.budget = args.number<std::size_t>(arg);
     } else if (arg == "--seed") {
-      seed = std::strtoull(args.value(arg), nullptr, 10);
+      seed = args.number<std::uint64_t>(arg);
     } else if (arg == "--both-engines") {
       cfg.both_engines = true;
     } else if (arg == "--settle") {
-      cfg.run.settle = Time::seconds(std::strtod(args.value(arg), nullptr));
+      cfg.run.settle = Time::seconds(args.number<double>(arg));
     } else if (arg == "--max-disruptions") {
-      cfg.max_disruptions =
-          static_cast<int>(std::strtol(args.value(arg), nullptr, 10));
+      cfg.max_disruptions = args.number<int>(arg);
     } else if (arg == "--no-shrink") {
       cfg.shrink_failures = false;
     } else if (arg == "--corpus-dir") {
       corpus_dir = args.value(arg);
     } else if (arg == "--pin") {
-      pin =
-          static_cast<std::size_t>(std::strtoull(args.value(arg), nullptr, 10));
+      pin = args.number<std::size_t>(arg);
     } else if (arg == "--out") {
       out_path = args.value(arg);
     } else if (arg == "--help" || arg == "-h") {
