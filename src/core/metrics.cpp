@@ -27,35 +27,21 @@ void McastMetrics::update_reference_tree(
 }
 
 void McastMetrics::on_tx(const Link& link, const Packet& pkt) {
-  ParsedDatagram d;
-  try {
-    d = parse_datagram(pkt.view());
-  } catch (const ParseError&) {
-    return;
-  }
-  bool tunneled = false;
-  const ParsedDatagram* data = &d;
-  ParsedDatagram inner;
-  if (d.protocol == proto::kIpv6) {
-    try {
-      inner = parse_datagram(d.payload);
-    } catch (const ParseError&) {
-      return;
-    }
-    data = &inner;
-    tunneled = true;
-  }
-  if (!(data->hdr.dst == group_) || data->protocol != proto::kUdp) return;
+  ParseResult<ParsedDatagram> outer = try_parse_datagram(pkt.view());
+  if (!outer.ok()) return;
+  const bool tunneled = outer.value().protocol == proto::kIpv6;
+  // Both parses view into pkt's octets.
+  ParseResult<ParsedDatagram> d =
+      tunneled ? try_parse_datagram(outer.value().payload) : std::move(outer);
+  if (!d.ok()) return;
+  const ParsedDatagram& data = d.value();
+  if (!(data.hdr.dst == group_) || data.protocol != proto::kUdp) return;
 
-  UdpDatagram udp;
-  CbrPayload payload;
-  try {
-    udp = UdpDatagram::parse(data->payload, data->hdr.src, data->hdr.dst);
-    if (udp.dst_port != data_port_) return;
-    payload = CbrPayload::decode(udp.payload);
-  } catch (const ParseError&) {
-    return;
-  }
+  ParseResult<UdpDatagram> udp =
+      UdpDatagram::try_parse(data.payload, data.hdr.src, data.hdr.dst);
+  if (!udp.ok() || udp.value().dst_port != data_port_) return;
+  ParseResult<CbrPayload> payload = CbrPayload::try_decode(udp.value().payload);
+  if (!payload.ok()) return;
 
   const Time now = net_->now();
   std::lock_guard<std::mutex> lock(mu_);
@@ -63,10 +49,10 @@ void McastMetrics::on_tx(const Link& link, const Packet& pkt) {
   actual_bytes_ += pkt.size();
   if (tunneled) tunneled_bytes_ += pkt.size();
 
-  if (seen_seqs_.insert(payload.seq).second) {
+  if (seen_seqs_.insert(payload.value().seq).second) {
     // First appearance of this application datagram anywhere: charge the
     // ideal tree cost using the native (untunneled) wire size.
-    std::size_t native_size = Ipv6Header::kSize + data->payload.size();
+    std::size_t native_size = Ipv6Header::kSize + data.payload.size();
     optimal_bytes_ +=
         static_cast<std::uint64_t>(native_size) * reference_tree_links_;
   }

@@ -11,11 +11,14 @@ Bytes CbrPayload::encode(std::size_t total_size) const {
   return std::move(w).take();
 }
 
-CbrPayload CbrPayload::decode(BytesView payload) {
-  BufferReader r(payload);
+ParseResult<CbrPayload> CbrPayload::try_decode(BytesView payload) {
+  WireCursor c(payload);
   CbrPayload p;
-  p.seq = r.u32();
-  p.sent_at = Time::ns(static_cast<std::int64_t>(r.u64()));
+  p.seq = c.u32();
+  p.sent_at = Time::ns(static_cast<std::int64_t>(c.u64()));
+  if (c.failed()) {
+    return ParseFailure{ParseReason::kTruncated, "CBR payload"};
+  }
   return p;
 }
 
@@ -53,24 +56,16 @@ GroupReceiverApp::GroupReceiverApp(Ipv6Stack& stack, std::uint16_t port)
 
 void GroupReceiverApp::on_udp(const ParsedDatagram& d, IfaceId iface) {
   (void)iface;
-  UdpDatagram udp;
-  try {
-    udp = UdpDatagram::parse(d.payload, d.hdr.src, d.hdr.dst);
-  } catch (const ParseError&) {
-    return;
-  }
-  if (udp.dst_port != port_) return;
-  CbrPayload p;
-  try {
-    p = CbrPayload::decode(udp.payload);
-  } catch (const ParseError&) {
-    return;
-  }
-  if (!seen_.insert(p.seq).second) {
+  ParseResult<UdpDatagram> udp =
+      UdpDatagram::try_parse(d.payload, d.hdr.src, d.hdr.dst);
+  if (!udp.ok() || udp.value().dst_port != port_) return;
+  ParseResult<CbrPayload> p = CbrPayload::try_decode(udp.value().payload);
+  if (!p.ok()) return;
+  if (!seen_.insert(p.value().seq).second) {
     ++duplicates_;
     return;
   }
-  log_.push_back(Rx{p.seq, p.sent_at, sched_->now()});
+  log_.push_back(Rx{p.value().seq, p.value().sent_at, sched_->now()});
 }
 
 std::optional<Time> GroupReceiverApp::first_rx_at_or_after(Time t) const {

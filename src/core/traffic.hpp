@@ -23,7 +23,8 @@ struct CbrPayload {
   Time sent_at;
 
   Bytes encode(std::size_t total_size) const;
-  static CbrPayload decode(BytesView payload);
+  /// No-throw decode; the zero padding after the fixed fields is ignored.
+  static ParseResult<CbrPayload> try_decode(BytesView payload);
   static constexpr std::size_t kMinSize = 12;
 };
 

@@ -94,7 +94,8 @@ std::vector<FuzzFrame> icmpv6_frames() {
 std::vector<FuzzFrame> pim_frames() {
   std::vector<FuzzFrame> out;
   auto wire = [](PimType t, const Bytes& body) {
-    return serialize_pim(t, body, fuzz_src(), fuzz_dst());
+    return serialize_pim(kPimVersion, static_cast<std::uint8_t>(t), body,
+                         fuzz_src(), fuzz_dst());
   };
   PimHello hello;
   hello.holdtime = 105;
@@ -137,7 +138,8 @@ std::vector<FuzzFrame> pim_frames() {
 std::vector<FuzzFrame> hpim_frames() {
   std::vector<FuzzFrame> out;
   auto wire = [](HpimType t, const Bytes& body) {
-    return serialize_hpim(t, body, fuzz_src(), fuzz_dst());
+    return serialize_pim(kHpimVersion, static_cast<std::uint8_t>(t), body,
+                         fuzz_src(), fuzz_dst());
   };
   HpimHello hello;
   hello.holdtime = 105;
@@ -296,10 +298,11 @@ std::optional<ParseFailure> drive_decoder(FuzzProto p, BytesView frame) {
       return std::nullopt;
     }
     case FuzzProto::kPim: {
-      ParseResult<PimHeader> r = try_parse_pim(frame, fuzz_src(), fuzz_dst());
+      ParseResult<PimHeader> r =
+          try_parse_pim(kPimVersion, frame, fuzz_src(), fuzz_dst());
       if (!r.ok()) return r.failure();
       const PimHeader& h = r.value();
-      switch (h.type) {
+      switch (static_cast<PimType>(h.type)) {
         case PimType::kHello: {
           ParseResult<PimHello> m = PimHello::try_parse(h.body);
           if (!m.ok()) return m.failure();
@@ -353,10 +356,11 @@ std::optional<ParseFailure> drive_decoder(FuzzProto p, BytesView frame) {
       return std::nullopt;
     }
     case FuzzProto::kHpim: {
-      ParseResult<HpimHeader> r = try_parse_hpim(frame, fuzz_src(), fuzz_dst());
+      ParseResult<PimHeader> r =
+          try_parse_pim(kHpimVersion, frame, fuzz_src(), fuzz_dst());
       if (!r.ok()) return r.failure();
-      const HpimHeader& h = r.value();
-      switch (h.type) {
+      const PimHeader& h = r.value();
+      switch (static_cast<HpimType>(h.type)) {
         case HpimType::kHello: {
           ParseResult<HpimHello> m = HpimHello::try_parse(h.body);
           if (!m.ok()) return m.failure();

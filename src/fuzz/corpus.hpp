@@ -21,11 +21,11 @@ namespace mip6 {
 enum class FuzzProto : std::uint8_t {
   kDatagram = 0,  // try_parse_datagram: header + ext-header chain
   kIcmpv6,        // Icmpv6Message::try_parse -> MldMessage::try_from_icmpv6
-  kPim,           // try_parse_pim -> per-type body parser
+  kPim,           // try_parse_pim(v2) -> per-type body parser
   kUdp,           // UdpDatagram::try_parse
   kRipng,         // try_parse_ripng_response
   kBindingUpdate, // BindingUpdateOption -> MulticastGroupListSubOption
-  kHpim,          // try_parse_hpim -> per-type body parser
+  kHpim,          // try_parse_pim(v3) -> per-type body parser
 };
 inline constexpr std::size_t kFuzzProtoCount = 7;
 

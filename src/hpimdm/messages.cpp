@@ -1,57 +1,14 @@
 #include "hpimdm/messages.hpp"
 
 #include "ipv6/header.hpp"
-#include "ipv6/icmpv6.hpp"
-#include "pimdm/messages.hpp"
 
 namespace mip6 {
 namespace {
 
-constexpr std::uint8_t kHpimVersion = 3;
 /// Encoded-unicast (18) + encoded-group (20) + interested flag (1).
 constexpr std::size_t kSyncEntrySize = 39;
 
 }  // namespace
-
-Bytes serialize_hpim(HpimType type, BytesView body, const Address& src,
-                     const Address& dst) {
-  BufferWriter w(4 + body.size());
-  w.u8(static_cast<std::uint8_t>((kHpimVersion << 4) |
-                                 static_cast<std::uint8_t>(type)));
-  w.u8(0);   // reserved
-  w.u16(0);  // checksum placeholder
-  w.raw(body);
-  std::uint16_t ck = pseudo_header_checksum(
-      src, dst, static_cast<std::uint32_t>(w.size()), proto::kPim, w.bytes());
-  w.patch_u16(2, ck);
-  return std::move(w).take();
-}
-
-ParseResult<HpimHeader> try_parse_hpim(BytesView payload, const Address& src,
-                                       const Address& dst) {
-  if (payload.size() < 4) {
-    return ParseFailure{ParseReason::kTruncated, "HPIM message too short"};
-  }
-  if (pseudo_header_checksum(src, dst,
-                             static_cast<std::uint32_t>(payload.size()),
-                             proto::kPim, payload) != 0) {
-    return ParseFailure{ParseReason::kBadChecksum, "HPIM checksum"};
-  }
-  WireCursor c(payload);
-  std::uint8_t vt = c.u8();
-  if ((vt >> 4) != kHpimVersion) {
-    return ParseFailure{ParseReason::kBadType, "HPIM version is not 3"};
-  }
-  std::uint8_t type = vt & 0x0f;
-  if (type > static_cast<std::uint8_t>(HpimType::kAssert)) {
-    return ParseFailure{ParseReason::kBadType, "unknown HPIM message type"};
-  }
-  c.skip(3);  // reserved + checksum
-  HpimHeader h;
-  h.type = static_cast<HpimType>(type);
-  h.body = c.raw(c.remaining());
-  return h;
-}
 
 // --- Hello -------------------------------------------------------------------
 

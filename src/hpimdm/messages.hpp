@@ -1,10 +1,11 @@
 // HPIM-DM message wire formats (arXiv 2002.06635, adapted).
 //
 // HPIM-DM shares PIM's IP protocol number (103) and 4-octet common header
-// but stamps version 3 in the version nibble, so a frame from the other
-// engine is rejected at the header with a named kBadType reason instead of
-// being half-parsed: a PIM-DM router sees "PIM version is not 2", an
-// HPIM-DM router sees "HPIM version is not 3".
+// (serialize_pim / try_parse_pim in pimdm/messages.hpp) but stamps
+// kHpimVersion (3) in the version nibble, so a frame from the other engine
+// is rejected at the header with a named kBadType reason instead of being
+// half-parsed: a PIM-DM router sees "PIM version is not 2", an HPIM-DM
+// router sees "HPIM version is not 3".
 //
 // Control reliability lives in the message layer: every Interest and Sync
 // carries a per-neighbor sequence number and is retransmitted until the
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "ipv6/address.hpp"
+#include "pimdm/messages.hpp"
 #include "util/buffer.hpp"
 #include "util/parse_result.hpp"
 
@@ -28,20 +30,8 @@ enum class HpimType : std::uint8_t {
   kSync = 3,
   kAssert = 4,
 };
-
-/// Serializes the 4-octet HPIM header (version 3) + body with the IPv6
-/// pseudo-header checksum, ready to be the payload of a proto-103 datagram.
-Bytes serialize_hpim(HpimType type, BytesView body, const Address& src,
-                     const Address& dst);
-
-struct HpimHeader {
-  HpimType type;
-  Bytes body;
-};
-/// No-throw parse + checksum verification of an HPIM payload. Rejects
-/// version-2 (PIM-DM) frames with kBadType "HPIM version is not 3".
-ParseResult<HpimHeader> try_parse_hpim(BytesView payload, const Address& src,
-                                       const Address& dst);
+static_assert(static_cast<std::uint8_t>(HpimType::kAssert) == kHpimMaxType,
+              "try_parse_pim bounds the HPIM type nibble at kHpimMaxType");
 
 // --- Hello -----------------------------------------------------------------
 

@@ -171,14 +171,14 @@ void HpimDmRouter::on_control_message(const ParsedDatagram& d,
     count("hpimdm/rx-drop/parse-error");
     note_parse_reject(stack_->network(), "hpimdm", f);
   };
-  ParseResult<HpimHeader> hdr =
-      try_parse_hpim(d.payload, d.hdr.src, d.hdr.dst);
+  ParseResult<PimHeader> hdr =
+      try_parse_pim(kHpimVersion, d.payload, d.hdr.src, d.hdr.dst);
   if (!hdr.ok()) {
     reject(hdr.failure());
     return;
   }
-  HpimHeader h = std::move(hdr).value();
-  switch (h.type) {
+  PimHeader h = std::move(hdr).value();
+  switch (static_cast<HpimType>(h.type)) {
     case HpimType::kHello: {
       ParseResult<HpimHello> m = HpimHello::try_parse(h.body);
       if (!m.ok()) return reject(m.failure());
@@ -554,19 +554,6 @@ void HpimDmRouter::send_sync(IfaceId iface, const Address& nbr) {
 Address HpimDmRouter::source_address(IfaceId iface) const {
   return stack_->has_global_address(iface) ? stack_->global_address(iface)
                                            : stack_->link_local_address(iface);
-}
-
-void HpimDmRouter::emit(IfaceId iface, HpimType type, BytesView body,
-                        const Address& dst) {
-  DatagramSpec spec;
-  spec.src = source_address(iface);
-  spec.dst = dst;
-  spec.hop_limit = 1;
-  spec.protocol = proto::kPim;
-  spec.payload = serialize_hpim(type, body, spec.src, spec.dst);
-  std::size_t wire = Ipv6Header::kSize + spec.payload.size();
-  stack_->send_on_iface(iface, spec);
-  stack_->network().counters().add("hpimdm/tx-bytes", wire);
 }
 
 void HpimDmRouter::send_hello(IfaceId iface) {

@@ -116,6 +116,7 @@ class HpimDmRouter final
   using SgEntry = HpimDmEntry;
   using AssertMessage = HpimAssert;
   static constexpr HpimType kAssertType = HpimType::kAssert;
+  static constexpr std::uint8_t kVersion = kHpimVersion;
   using NeighborChannel = HpimDmNeighbor;
   using Pending = HpimDmNeighbor::Pending;
 
@@ -173,7 +174,6 @@ class HpimDmRouter final
   void send_hello(IfaceId iface);
   void send_ack(IfaceId iface, const Address& to, std::uint32_t seq);
   void send_interest(SgEntry& e, bool interested);
-  void emit(IfaceId iface, HpimType type, BytesView body, const Address& dst);
   /// Control source address: global preferred (it is what unicast routes —
   /// and therefore rpf_neighbor — name), link-local fallback.
   Address source_address(IfaceId iface) const;

@@ -8,6 +8,19 @@
 #include "util/errors.hpp"
 
 namespace mip6 {
+namespace {
+
+/// Parses a datagram this stack is about to send. The octets were built
+/// locally, so failing to read them back is an internal fault.
+ParsedDatagram parse_outbound(BytesView datagram) {
+  ParseResult<ParsedDatagram> d = try_parse_datagram(datagram);
+  if (!d.ok()) {
+    throw LogicError("outbound datagram does not parse: " + d.failure().str());
+  }
+  return std::move(d).value();
+}
+
+}  // namespace
 
 Ipv6Stack::Ipv6Stack(Node& node, AddressingPlan& plan, bool forwarding)
     : node_(&node), plan_(&plan), forwarding_(forwarding),
@@ -179,7 +192,7 @@ bool Ipv6Stack::send(const DatagramSpec& spec) {
 }
 
 bool Ipv6Stack::send_raw(Bytes datagram) {
-  ParsedDatagram d = parse_datagram(datagram);
+  ParsedDatagram d = parse_outbound(datagram);
   Packet pkt = network().make_packet(std::move(datagram));
   if (d.hdr.dst.is_multicast()) {
     throw LogicError("send_raw with multicast destination; use send_on_iface");
@@ -198,7 +211,7 @@ bool Ipv6Stack::send_on_iface(IfaceId iface, const DatagramSpec& spec) {
 }
 
 bool Ipv6Stack::send_raw_on_iface(IfaceId iface, Bytes datagram) {
-  ParsedDatagram d = parse_datagram(datagram);
+  ParsedDatagram d = parse_outbound(datagram);
   Packet pkt = network().make_packet(std::move(datagram));
   Interface* i = iface_ptr(iface);
   if (!i->attached()) {

@@ -25,8 +25,4 @@ ParseResult<Bytes> try_decapsulate(const ParsedDatagram& outer) {
   return Bytes(outer.payload.begin(), outer.payload.end());
 }
 
-Bytes decapsulate(const ParsedDatagram& outer) {
-  return try_decapsulate(outer).take_or_throw();
-}
-
 }  // namespace mip6

@@ -24,7 +24,4 @@ inline constexpr std::size_t kTunnelOverhead = Ipv6Header::kSize;
 /// wrong or the payload is not itself a well-formed datagram.
 ParseResult<Bytes> try_decapsulate(const ParsedDatagram& outer);
 
-/// Throwing wrapper over try_decapsulate for legacy call sites.
-Bytes decapsulate(const ParsedDatagram& outer);
-
 }  // namespace mip6

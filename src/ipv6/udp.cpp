@@ -48,9 +48,4 @@ ParseResult<UdpDatagram> UdpDatagram::try_parse(BytesView bytes,
   return d;
 }
 
-UdpDatagram UdpDatagram::parse(BytesView bytes, const Address& src,
-                               const Address& dst) {
-  return try_parse(bytes, src, dst).take_or_throw();
-}
-
 }  // namespace mip6

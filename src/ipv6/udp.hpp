@@ -21,9 +21,6 @@ struct UdpDatagram {
   static ParseResult<UdpDatagram> try_parse(BytesView bytes,
                                             const Address& src,
                                             const Address& dst);
-  /// Throwing wrapper over try_parse for legacy call sites.
-  static UdpDatagram parse(BytesView bytes, const Address& src,
-                           const Address& dst);
 
   static constexpr std::size_t kHeaderSize = 8;
 };

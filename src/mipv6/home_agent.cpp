@@ -306,15 +306,17 @@ void HomeAgent::on_tunneled(const ParsedDatagram& outer, IfaceId iface) {
     count("ha/drop/disabled-tunnel");
     return;
   }
-  ParseResult<Bytes> decap = try_decapsulate(outer);
-  if (!decap.ok()) {
+  // Only IPv6-in-IPv6 datagrams reach this handler, so decapsulating is
+  // parsing the payload once; `in` views into the received packet.
+  ParseResult<ParsedDatagram> parsed = try_parse_datagram(outer.payload);
+  if (!parsed.ok()) {
     count("ha/rx-drop/bad-tunnel");
-    note_parse_reject(stack_->network(), "mipv6", decap.failure());
+    note_parse_reject(stack_->network(), "mipv6", parsed.failure());
     return;
   }
-  Bytes inner = std::move(decap).value();
+  const ParsedDatagram& in = parsed.value();
+  Bytes inner(outer.payload.begin(), outer.payload.end());
   count("ha/decap");
-  ParsedDatagram in = parse_datagram(inner);
   trace_event("decap", [&] {
     return "src=" + in.hdr.src.str() + " dst=" + in.hdr.dst.str();
   });

@@ -14,6 +14,8 @@
 //     local-receiver pins and the MLD fan-out over a group's entries);
 //   * the RPF anchoring create_entry() and the data-path re-anchor share,
 //     and the Assert election, emission and assert-loser timer;
+//   * control-message emission: PIM-family framing (pimdm/messages.hpp)
+//     with the engine's version nibble, and the <kind>/tx-bytes counter;
 //   * the on_multicast_data() skeleton: source check, flow-cache hit,
 //     find-or-create, RPF re-anchor, the wrong-interface split (assert
 //     when the arrival interface is in the oif list, the engine's non-RPF
@@ -28,7 +30,8 @@
 //   void on_nonrpf_data(Entry&, IfaceId);   // arrival on a non-RPF non-oif
 //   void on_nothing_downstream(Entry&);     // miss with an empty oif set
 //   void send_hello(IfaceId);
-//   void emit(IfaceId, MessageType, BytesView body, const Address& dst);
+//   Address source_address(IfaceId) const;  // control-message source
+//   static constexpr std::uint8_t kVersion;  // PIM-family version nibble
 //   using AssertMessage = ...;  // and `static constexpr kAssertType`
 //   void on_control_message(const ParsedDatagram&, IfaceId);
 //   const Config& config() const;  // hello_period, data_timeout,
@@ -53,6 +56,7 @@
 #include "mld/router.hpp"
 #include "pimdm/dense_engine.hpp"
 #include "pimdm/dense_forwarder.hpp"
+#include "pimdm/messages.hpp"
 #include "sim/timer.hpp"
 #include "util/errors.hpp"
 
@@ -182,6 +186,10 @@ class DenseEngineCore : public DenseModeEngine {
   /// the elected forwarder"), whatever the arrival order. True if it did.
   template <typename Assert>
   bool observe_assert(Entry& e, const Assert& a, const Address& from);
+  /// Sends a `type` control message (the engine's PimType / HpimType) from
+  /// the engine's source address on `iface`, hop limit 1.
+  template <typename Type>
+  void emit(IfaceId iface, Type type, BytesView body, const Address& dst);
   /// Claims the forwarder role on `iface` with an Assert carrying our
   /// preference and RPF metric, at most once per assert_rate_limit.
   void send_assert(Entry& e, IfaceId iface);
@@ -210,6 +218,7 @@ class DenseEngineCore : public DenseModeEngine {
   Ipv6Stack* stack_;
   MldRouter* mld_;
   std::string component_;  // "<kind>/<node>", cached for trace records
+  std::string tx_bytes_counter_;  // "<kind>/tx-bytes"
   /// The MFC data plane; the engine only decides and invalidates.
   DenseForwarder fwd_;
   /// Every interface enable_iface() was ever called for (restart wiring).
@@ -246,6 +255,7 @@ DenseEngineCore<D, E, N>::DenseEngineCore(Ipv6Stack& stack, MldRouter& mld,
                                           Time data_timeout, bool mfc)
     : stack_(&stack), mld_(&mld),
       component_(std::string(kind) + "/" + stack.node().name()),
+      tx_bytes_counter_(std::string(kind) + "/tx-bytes"),
       fwd_(stack, kind, data_timeout, mfc,
            [this](const Address& g) { on_local_receivers_changed(g); }) {
   auto cell = [&](std::string_view name) {
@@ -491,6 +501,22 @@ bool DenseEngineCore<D, E, N>::observe_assert(E& e, const Assert& a,
 }
 
 template <typename D, typename E, typename N>
+template <typename Type>
+void DenseEngineCore<D, E, N>::emit(IfaceId iface, Type type, BytesView body,
+                                    const Address& dst) {
+  DatagramSpec spec;
+  spec.src = derived().source_address(iface);
+  spec.dst = dst;
+  spec.hop_limit = 1;
+  spec.protocol = proto::kPim;
+  spec.payload = serialize_pim(D::kVersion, static_cast<std::uint8_t>(type),
+                               body, spec.src, spec.dst);
+  std::size_t wire = Ipv6Header::kSize + spec.payload.size();
+  stack_->send_on_iface(iface, spec);
+  count(tx_bytes_counter_, wire);
+}
+
+template <typename D, typename E, typename N>
 void DenseEngineCore<D, E, N>::send_assert(E& e, IfaceId iface) {
   Downstream& d = downstream(e, iface);
   if (!d.last_assert_tx.is_never() &&
@@ -503,7 +529,7 @@ void DenseEngineCore<D, E, N>::send_assert(E& e, IfaceId iface) {
   a.source = e.source;
   a.metric_preference = derived().config().metric_preference;
   a.metric = e.rpf_metric;
-  derived().emit(iface, D::kAssertType, a.body(), Address::all_pim_routers());
+  emit(iface, D::kAssertType, a.body(), Address::all_pim_routers());
   c_tx_assert_.add();
   trace_event("tx-assert", [&] {
     return "src=" + e.source.str() + " group=" + e.group.str() + " iface=" +

@@ -8,18 +8,16 @@ namespace {
 
 constexpr std::uint8_t kFamilyIpv6 = 2;
 constexpr std::uint8_t kEncodingNative = 0;
-constexpr std::uint8_t kPimVersion = 2;
 
 // Hello option types (draft §4.2).
 constexpr std::uint16_t kHelloOptHoldtime = 1;
 
 }  // namespace
 
-Bytes serialize_pim(PimType type, BytesView body, const Address& src,
-                    const Address& dst) {
+Bytes serialize_pim(std::uint8_t version, std::uint8_t type, BytesView body,
+                    const Address& src, const Address& dst) {
   BufferWriter w(4 + body.size());
-  w.u8(static_cast<std::uint8_t>((kPimVersion << 4) |
-                                 static_cast<std::uint8_t>(type)));
+  w.u8(static_cast<std::uint8_t>((version << 4) | type));
   w.u8(0);   // reserved
   w.u16(0);  // checksum placeholder
   w.raw(body);
@@ -29,31 +27,34 @@ Bytes serialize_pim(PimType type, BytesView body, const Address& src,
   return std::move(w).take();
 }
 
-ParseResult<PimHeader> try_parse_pim(BytesView payload, const Address& src,
-                                     const Address& dst) {
+ParseResult<PimHeader> try_parse_pim(std::uint8_t version, BytesView payload,
+                                     const Address& src, const Address& dst) {
+  const bool hpim = version == kHpimVersion;
   if (payload.size() < 4) {
-    return ParseFailure{ParseReason::kTruncated, "PIM message too short"};
+    return ParseFailure{ParseReason::kTruncated,
+                        hpim ? "HPIM message too short"
+                             : "PIM message too short"};
   }
   if (pseudo_header_checksum(src, dst,
                              static_cast<std::uint32_t>(payload.size()),
                              proto::kPim, payload) != 0) {
-    return ParseFailure{ParseReason::kBadChecksum, "PIM checksum"};
+    return ParseFailure{ParseReason::kBadChecksum,
+                        hpim ? "HPIM checksum" : "PIM checksum"};
   }
   WireCursor c(payload);
   std::uint8_t vt = c.u8();
-  if ((vt >> 4) != kPimVersion) {
-    return ParseFailure{ParseReason::kBadType, "PIM version is not 2"};
+  if ((vt >> 4) != version) {
+    return ParseFailure{ParseReason::kBadType, hpim ? "HPIM version is not 3"
+                                                    : "PIM version is not 2"};
+  }
+  PimHeader h;
+  h.type = vt & 0x0f;
+  if (hpim && h.type > kHpimMaxType) {
+    return ParseFailure{ParseReason::kBadType, "unknown HPIM message type"};
   }
   c.skip(3);  // reserved + checksum
-  PimHeader h;
-  h.type = static_cast<PimType>(vt & 0x0f);
   h.body = c.raw(c.remaining());
   return h;
-}
-
-PimHeader parse_pim(BytesView payload, const Address& src,
-                    const Address& dst) {
-  return try_parse_pim(payload, src, dst).take_or_throw();
 }
 
 // --- Encoded addresses -------------------------------------------------------
@@ -62,14 +63,6 @@ void write_encoded_unicast(BufferWriter& w, const Address& a) {
   w.u8(kFamilyIpv6);
   w.u8(kEncodingNative);
   a.write(w);
-}
-
-Address read_encoded_unicast(BufferReader& r) {
-  if (r.u8() != kFamilyIpv6) throw ParseError("encoded-unicast: not IPv6");
-  if (r.u8() != kEncodingNative) {
-    throw ParseError("encoded-unicast: unknown encoding");
-  }
-  return Address::read(r);
 }
 
 ParseResult<Address> try_read_encoded_unicast(WireCursor& c) {
@@ -95,16 +88,6 @@ void write_encoded_group(BufferWriter& w, const Address& g) {
   w.u8(0);    // reserved
   w.u8(128);  // mask length
   g.write(w);
-}
-
-Address read_encoded_group(BufferReader& r) {
-  if (r.u8() != kFamilyIpv6) throw ParseError("encoded-group: not IPv6");
-  if (r.u8() != kEncodingNative) {
-    throw ParseError("encoded-group: unknown encoding");
-  }
-  r.skip(1);  // reserved
-  if (r.u8() != 128) throw ParseError("encoded-group: partial masks unsupported");
-  return Address::read(r);
 }
 
 ParseResult<Address> try_read_encoded_group(WireCursor& c) {
@@ -137,18 +120,6 @@ void write_encoded_source(BufferWriter& w, const Address& s,
   w.u8(flags);
   w.u8(128);  // mask length
   s.write(w);
-}
-
-Address read_encoded_source(BufferReader& r) {
-  if (r.u8() != kFamilyIpv6) throw ParseError("encoded-source: not IPv6");
-  if (r.u8() != kEncodingNative) {
-    throw ParseError("encoded-source: unknown encoding");
-  }
-  r.skip(1);  // flags
-  if (r.u8() != 128) {
-    throw ParseError("encoded-source: partial masks unsupported");
-  }
-  return Address::read(r);
 }
 
 ParseResult<Address> try_read_encoded_source(WireCursor& c) {
@@ -216,10 +187,6 @@ ParseResult<PimHello> PimHello::try_parse(BytesView body) {
                         "PIM Hello without holdtime option"};
   }
   return h;
-}
-
-PimHello PimHello::parse(BytesView body) {
-  return try_parse(body).take_or_throw();
 }
 
 // --- Join/Prune ----------------------------------------------------------------
@@ -300,10 +267,6 @@ ParseResult<PimJoinPrune> PimJoinPrune::try_parse(BytesView body) {
   return m;
 }
 
-PimJoinPrune PimJoinPrune::parse(BytesView body) {
-  return try_parse(body).take_or_throw();
-}
-
 PimJoinPrune PimJoinPrune::join(const Address& upstream, const Address& src,
                                 const Address& group) {
   PimJoinPrune m;
@@ -370,10 +333,6 @@ ParseResult<PimStateRefresh> PimStateRefresh::try_parse(BytesView body) {
   return m;
 }
 
-PimStateRefresh PimStateRefresh::parse(BytesView body) {
-  return try_parse(body).take_or_throw();
-}
-
 // --- Assert --------------------------------------------------------------------
 
 Bytes PimAssert::body() const {
@@ -404,10 +363,6 @@ ParseResult<PimAssert> PimAssert::try_parse(BytesView body) {
                         "trailing octets after PIM Assert"};
   }
   return a;
-}
-
-PimAssert PimAssert::parse(BytesView body) {
-  return try_parse(body).take_or_throw();
 }
 
 }  // namespace mip6

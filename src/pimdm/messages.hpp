@@ -1,6 +1,8 @@
 // PIM version 2 message wire formats (draft-ietf-pim-v2-dm-03 §4):
 // common header, encoded address formats, Hello, Join/Prune (also used for
-// Graft and Graft-Ack, which share its body), and Assert.
+// Graft and Graft-Ack, which share its body), and Assert. The common header
+// codec also frames HPIM-DM (hpimdm/messages.hpp), which differs only in
+// its version nibble.
 #pragma once
 
 #include <cstdint>
@@ -21,32 +23,39 @@ enum class PimType : std::uint8_t {
   kStateRefresh = 9,
 };
 
-/// Serializes the 4-octet PIM header + body with the IPv6 pseudo-header
-/// checksum, ready to be the payload of a proto-103 datagram.
-Bytes serialize_pim(PimType type, BytesView body, const Address& src,
-                    const Address& dst);
+/// Version nibbles of the PIM-family common header (IP protocol 103).
+inline constexpr std::uint8_t kPimVersion = 2;   // PIM-DM
+inline constexpr std::uint8_t kHpimVersion = 3;  // HPIM-DM
+/// HPIM-DM's last message type; PIM-DM leaves unknown types to the engine.
+inline constexpr std::uint8_t kHpimMaxType = 4;
 
+/// The 4-octet common header (version | type, reserved, checksum) and the
+/// body after it. `type` is a PimType under kPimVersion and an HpimType
+/// under kHpimVersion.
 struct PimHeader {
-  PimType type;
+  std::uint8_t type = 0;
   Bytes body;
 };
-/// No-throw parse + checksum verification of a PIM payload.
-ParseResult<PimHeader> try_parse_pim(BytesView payload, const Address& src,
-                                     const Address& dst);
-/// Throwing wrapper over try_parse_pim for legacy call sites.
-PimHeader parse_pim(BytesView payload, const Address& src, const Address& dst);
+
+/// Serializes the common header for `version` + body with the IPv6
+/// pseudo-header checksum, ready to be the payload of a proto-103 datagram.
+Bytes serialize_pim(std::uint8_t version, std::uint8_t type, BytesView body,
+                    const Address& src, const Address& dst);
+/// No-throw parse + checksum verification of a `version` payload. A frame
+/// of the other engine is rejected at the header with a named kBadType
+/// reason ("PIM version is not 2" / "HPIM version is not 3"); HPIM-DM also
+/// rejects a type nibble beyond its last message type.
+ParseResult<PimHeader> try_parse_pim(std::uint8_t version, BytesView payload,
+                                     const Address& src, const Address& dst);
 
 // --- Encoded address blocks (family 2 = IPv6, encoding 0) -----------------
 
 void write_encoded_unicast(BufferWriter& w, const Address& a);
-Address read_encoded_unicast(BufferReader& r);
 ParseResult<Address> try_read_encoded_unicast(WireCursor& c);
 void write_encoded_group(BufferWriter& w, const Address& g);
-Address read_encoded_group(BufferReader& r);
 ParseResult<Address> try_read_encoded_group(WireCursor& c);
 void write_encoded_source(BufferWriter& w, const Address& s,
                           std::uint8_t flags = 0x4 /* S bit */);
-Address read_encoded_source(BufferReader& r);
 ParseResult<Address> try_read_encoded_source(WireCursor& c);
 
 // --- Hello -----------------------------------------------------------------
@@ -56,7 +65,6 @@ struct PimHello {
 
   Bytes body() const;
   static ParseResult<PimHello> try_parse(BytesView body);
-  static PimHello parse(BytesView body);
 };
 
 // --- Join/Prune (and Graft / Graft-Ack, same body) ---------------------------
@@ -75,7 +83,6 @@ struct PimJoinPrune {
   Bytes body() const;
   /// No-throw parse; bounds group records and per-group source counts.
   static ParseResult<PimJoinPrune> try_parse(BytesView body);
-  static PimJoinPrune parse(BytesView body);
 
   /// Single-source convenience constructors.
   static PimJoinPrune join(const Address& upstream, const Address& src,
@@ -102,7 +109,6 @@ struct PimStateRefresh {
 
   Bytes body() const;
   static ParseResult<PimStateRefresh> try_parse(BytesView body);
-  static PimStateRefresh parse(BytesView body);
 };
 
 // --- Assert ------------------------------------------------------------------
@@ -115,7 +121,6 @@ struct PimAssert {
 
   Bytes body() const;
   static ParseResult<PimAssert> try_parse(BytesView body);
-  static PimAssert parse(BytesView body);
 };
 
 }  // namespace mip6

@@ -129,13 +129,14 @@ void PimDmRouter::on_control_message(const ParsedDatagram& d,
     count("pimdm/rx-drop/parse-error");
     note_parse_reject(stack_->network(), "pimdm", f);
   };
-  ParseResult<PimHeader> hdr = try_parse_pim(d.payload, d.hdr.src, d.hdr.dst);
+  ParseResult<PimHeader> hdr =
+      try_parse_pim(kPimVersion, d.payload, d.hdr.src, d.hdr.dst);
   if (!hdr.ok()) {
     reject(hdr.failure());
     return;
   }
   PimHeader h = std::move(hdr).value();
-  switch (h.type) {
+  switch (static_cast<PimType>(h.type)) {
     case PimType::kHello: {
       ParseResult<PimHello> m = PimHello::try_parse(h.body);
       if (!m.ok()) return reject(m.failure());
@@ -476,19 +477,6 @@ void PimDmRouter::forward_state_refresh(SgEntry& e,
 
 // ---------------------------------------------------------------------------
 // Emission
-
-void PimDmRouter::emit(IfaceId iface, PimType type, BytesView body,
-                       const Address& dst) {
-  DatagramSpec spec;
-  spec.src = stack_->link_local_address(iface);
-  spec.dst = dst;
-  spec.hop_limit = 1;
-  spec.protocol = proto::kPim;
-  spec.payload = serialize_pim(type, body, spec.src, spec.dst);
-  std::size_t wire = Ipv6Header::kSize + spec.payload.size();
-  stack_->send_on_iface(iface, spec);
-  stack_->network().counters().add("pimdm/tx-bytes", wire);
-}
 
 void PimDmRouter::send_hello(IfaceId iface) {
   PimHello hello;

@@ -76,6 +76,7 @@ class PimDmRouter final
   using SgEntry = PimDmEntry;
   using AssertMessage = PimAssert;
   static constexpr PimType kAssertType = PimType::kAssert;
+  static constexpr std::uint8_t kVersion = kPimVersion;
 
   // Core hooks (dense_engine_core.hpp).
   void on_control_message(const ParsedDatagram& d, IfaceId iface);
@@ -107,7 +108,10 @@ class PimDmRouter final
                       IfaceId iface);
   void originate_state_refresh(SgEntry& e);
   void forward_state_refresh(SgEntry& e, const PimStateRefresh& sr);
-  void emit(IfaceId iface, PimType type, BytesView body, const Address& dst);
+  /// Control source address: the interface's link-local address.
+  Address source_address(IfaceId iface) const {
+    return stack_->link_local_address(iface);
+  }
 
   PimDmConfig config_;
 };

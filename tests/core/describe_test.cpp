@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/figure1.hpp"
+#include "hpimdm/messages.hpp"
 #include "ipv6/tunnel.hpp"
 #include "ipv6/udp.hpp"
 #include "mipv6/messages.hpp"
@@ -50,10 +52,90 @@ TEST(Describe, PimGraft) {
   spec.dst = dst;
   spec.hop_limit = 1;
   spec.protocol = proto::kPim;
-  spec.payload = serialize_pim(PimType::kGraft, m.body(), src, dst);
+  spec.payload = serialize_pim(
+      kPimVersion, static_cast<std::uint8_t>(PimType::kGraft), m.body(), src,
+      dst);
   std::string s = describe_datagram(build_datagram(spec));
   EXPECT_NE(s.find("PIM Graft"), std::string::npos) << s;
   EXPECT_NE(s.find("J(2001:db8::1,ff1e::1)"), std::string::npos) << s;
+}
+
+std::string describe_hpim(HpimType type, BytesView body) {
+  Address src = Address::parse("2001:db8:1::1");
+  Address dst = Address::parse("ff02::d");
+  DatagramSpec spec;
+  spec.src = src;
+  spec.dst = dst;
+  spec.hop_limit = 1;
+  spec.protocol = proto::kPim;
+  spec.payload = serialize_pim(kHpimVersion, static_cast<std::uint8_t>(type),
+                               body, src, dst);
+  return describe_datagram(build_datagram(spec));
+}
+
+TEST(Describe, HpimControlMessages) {
+  const Address s = Address::parse("2001:db8::1");
+  const Address g = Address::parse("ff1e::1");
+  HpimHello hello;
+  hello.holdtime = 105;
+  hello.generation_id = 7;
+  EXPECT_NE(describe_hpim(HpimType::kHello, hello.body())
+                .find("| HPIM Hello holdtime=105s gen=7"),
+            std::string::npos);
+  HpimAck ack;
+  ack.seq = 4;
+  EXPECT_NE(describe_hpim(HpimType::kAck, ack.body()).find("| HPIM Ack seq=4"),
+            std::string::npos);
+  HpimInterest interest;
+  interest.seq = 5;
+  interest.source = s;
+  interest.group = g;
+  interest.interested = true;
+  std::string i = describe_hpim(HpimType::kInterest, interest.body());
+  EXPECT_NE(i.find("| HPIM Interest seq=5 (2001:db8::1,ff1e::1) interested"),
+            std::string::npos)
+      << i;
+  HpimSync sync;
+  sync.seq = 6;
+  sync.more = true;
+  sync.entries.push_back(HpimSync::Entry{s, g, true});
+  std::string y = describe_hpim(HpimType::kSync, sync.body());
+  EXPECT_NE(y.find("| HPIM Sync seq=6 entries=1 more"), std::string::npos)
+      << y;
+  HpimAssert a;
+  a.source = s;
+  a.group = g;
+  a.metric_preference = 101;
+  a.metric = 2;
+  std::string as = describe_hpim(HpimType::kAssert, a.body());
+  EXPECT_NE(as.find("| HPIM Assert (2001:db8::1,ff1e::1) pref=101 metric=2"),
+            std::string::npos)
+      << as;
+  Bytes short_body = ack.body();
+  short_body.pop_back();
+  EXPECT_NE(describe_hpim(HpimType::kAck, short_body).find("HPIM <malformed>"),
+            std::string::npos);
+}
+
+TEST(Describe, HpimWorldControlTrafficIsNeverMalformed) {
+  WorldConfig config;
+  config.dense_engine = DenseEngineKind::kHpimDm;
+  Figure1 f = build_figure1(1, config);
+  std::size_t pim_frames = 0;
+  std::size_t hellos = 0;
+  std::vector<std::string> malformed;
+  f.world->net().add_tx_hook(
+      [&](const Link&, const Interface&, const Packet& pkt) {
+        std::string s = describe_datagram(pkt.view());
+        if (s.find("PIM") == std::string::npos) return;
+        ++pim_frames;
+        if (s.find("HPIM Hello") != std::string::npos) ++hellos;
+        if (s.find("malformed") != std::string::npos) malformed.push_back(s);
+      });
+  f.world->run_until(Time::sec(5));
+  EXPECT_GT(pim_frames, 0u);
+  EXPECT_GT(hellos, 0u);
+  EXPECT_TRUE(malformed.empty()) << malformed.front();
 }
 
 TEST(Describe, BindingUpdateWithGroupListAndHomeAddress) {

@@ -13,9 +13,10 @@ TEST(CbrPayload, RoundTrip) {
   p.sent_at = Time::ms(6789);
   Bytes wire = p.encode(64);
   EXPECT_EQ(wire.size(), 64u);
-  CbrPayload back = CbrPayload::decode(wire);
-  EXPECT_EQ(back.seq, 12345u);
-  EXPECT_EQ(back.sent_at, Time::ms(6789));
+  ParseResult<CbrPayload> back = CbrPayload::try_decode(wire);
+  ASSERT_TRUE(back.ok()) << back.failure().str();
+  EXPECT_EQ(back.value().seq, 12345u);
+  EXPECT_EQ(back.value().sent_at, Time::ms(6789));
 }
 
 TEST(CbrPayload, MinimumSizeEnforced) {
@@ -26,7 +27,9 @@ TEST(CbrPayload, MinimumSizeEnforced) {
 
 TEST(CbrPayload, DecodeRejectsTruncation) {
   Bytes wire(CbrPayload::kMinSize - 1);
-  EXPECT_THROW(CbrPayload::decode(wire), ParseError);
+  ParseResult<CbrPayload> r = CbrPayload::try_decode(wire);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.failure().reason, ParseReason::kTruncated);
 }
 
 TEST(CbrSource, EmitsAtConfiguredRate) {
@@ -58,7 +61,12 @@ TEST(CbrSource, SequenceNumbersIncrease) {
   Scheduler sched;
   std::vector<std::uint32_t> seqs;
   CbrSource src(
-      sched, [&](Bytes b) { seqs.push_back(CbrPayload::decode(b).seq); },
+      sched,
+      [&](Bytes b) {
+        ParseResult<CbrPayload> p = CbrPayload::try_decode(b);
+        ASSERT_TRUE(p.ok()) << p.failure().str();
+        seqs.push_back(p.value().seq);
+      },
       Time::ms(100), 32);
   src.start(Time::zero());
   sched.run_until(Time::ms(300));

@@ -39,6 +39,16 @@ std::string classify(FuzzProto proto, BytesView frame) {
   return fail ? parse_reason_name(fail->reason) : "ok";
 }
 
+Bytes pim_wire(PimType type, BytesView body) {
+  return serialize_pim(kPimVersion, static_cast<std::uint8_t>(type), body,
+                       fuzz_src(), fuzz_dst());
+}
+
+Bytes hpim_wire(HpimType type, BytesView body) {
+  return serialize_pim(kHpimVersion, static_cast<std::uint8_t>(type), body,
+                       fuzz_src(), fuzz_dst());
+}
+
 Bytes truncated(Bytes b, std::size_t n) {
   b.resize(n);
   return b;
@@ -87,8 +97,7 @@ std::vector<Entry> build_entries() {
   {
     // Body cut mid-group-record; checksum computed over the cut body.
     add("pim-jp-truncated.hex", FuzzProto::kPim, "truncated",
-        serialize_pim(PimType::kJoinPrune, truncated(jp_body, 30), fuzz_src(),
-                      fuzz_dst()));
+        pim_wire(PimType::kJoinPrune, truncated(jp_body, 30)));
   }
   {
     // Joined-source count lies (promises 100 sources, frame holds 1). Stays
@@ -98,23 +107,21 @@ std::vector<Entry> build_entries() {
     lie[42] = 0;    // njoined hi (18 upstream + 2 + 2 + 20 group = 42)
     lie[43] = 100;  // njoined lo
     add("pim-jp-source-count-lie.hex", FuzzProto::kPim, "truncated",
-        serialize_pim(PimType::kJoinPrune, lie, fuzz_src(), fuzz_dst()));
+        pim_wire(PimType::kJoinPrune, lie));
   }
   {
     // Group-record count beyond the amplification bound.
     Bytes many = jp_body;
     many[19] = 0xff;  // ngroups (after 18-octet encoded unicast + reserved)
     add("pim-jp-group-bound.hex", FuzzProto::kPim, "bound-exceeded",
-        serialize_pim(PimType::kJoinPrune, many, fuzz_src(), fuzz_dst()));
+        pim_wire(PimType::kJoinPrune, many));
   }
   {
     add("pim-graft-truncated.hex", FuzzProto::kPim, "truncated",
-        serialize_pim(PimType::kGraft, truncated(jp_body, 10), fuzz_src(),
-                      fuzz_dst()));
+        pim_wire(PimType::kGraft, truncated(jp_body, 10)));
   }
   {
-    Bytes bad = serialize_pim(PimType::kJoinPrune, jp_body, fuzz_src(),
-                              fuzz_dst());
+    Bytes bad = pim_wire(PimType::kJoinPrune, jp_body);
     bad[2] ^= 0xff;  // checksum hi
     add("pim-bad-checksum.hex", FuzzProto::kPim, "bad-checksum",
         std::move(bad));
@@ -194,14 +201,12 @@ std::vector<Entry> build_entries() {
     hello.holdtime = 105;
     hello.generation_id = 0xdecade02;
     add("hpim-hello-ok.hex", FuzzProto::kHpim, "ok",
-        serialize_hpim(HpimType::kHello, hello.body(), fuzz_src(),
-                       fuzz_dst()));
+        hpim_wire(HpimType::kHello, hello.body()));
   }
   {
     // Body cut mid-entry; checksum computed over the cut body.
     add("hpim-sync-truncated.hex", FuzzProto::kHpim, "truncated",
-        serialize_hpim(HpimType::kSync, truncated(sync_body, 20), fuzz_src(),
-                       fuzz_dst()));
+        hpim_wire(HpimType::kSync, truncated(sync_body, 20)));
   }
   {
     // Entry count lies (promises 200 entries, frame holds 2). Stays under
@@ -211,7 +216,7 @@ std::vector<Entry> build_entries() {
     lie[5] = 0;    // count hi (4 seq + 1 more-flag)
     lie[6] = 200;  // count lo
     add("hpim-sync-count-lie.hex", FuzzProto::kHpim, "truncated",
-        serialize_hpim(HpimType::kSync, lie, fuzz_src(), fuzz_dst()));
+        hpim_wire(HpimType::kSync, lie));
   }
   {
     // Entry count beyond the amplification bound.
@@ -219,7 +224,7 @@ std::vector<Entry> build_entries() {
     many[5] = 0xff;
     many[6] = 0xff;
     add("hpim-sync-bound.hex", FuzzProto::kHpim, "bound-exceeded",
-        serialize_hpim(HpimType::kSync, many, fuzz_src(), fuzz_dst()));
+        hpim_wire(HpimType::kSync, many));
   }
   {
     // Cross-engine frames: the two engines share proto 103, so each decoder
@@ -227,16 +232,14 @@ std::vector<Entry> build_entries() {
     PimHello pim_hello;
     pim_hello.holdtime = 105;
     add("pim-frame-via-hpim-decoder.hex", FuzzProto::kHpim, "bad-type",
-        serialize_pim(PimType::kHello, pim_hello.body(), fuzz_src(),
-                      fuzz_dst()));
+        pim_wire(PimType::kHello, pim_hello.body()));
     HpimInterest interest;
     interest.seq = 1;
     interest.source = fuzz_src();
     interest.group = fuzz_group();
     interest.interested = true;
     add("hpim-frame-via-pim-decoder.hex", FuzzProto::kPim, "bad-type",
-        serialize_hpim(HpimType::kInterest, interest.body(), fuzz_src(),
-                       fuzz_dst()));
+        hpim_wire(HpimType::kInterest, interest.body()));
   }
 
   // --- Whole datagrams ---------------------------------------------------

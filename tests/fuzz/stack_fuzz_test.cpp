@@ -21,6 +21,18 @@ const Address kGroup = Address::parse("ff1e::77");
 constexpr std::uint16_t kPort = 9000;
 const Address kAllPimRouters = Address::parse("ff02::d");
 
+Bytes pim_wire(PimType type, BytesView body, const Address& src,
+               const Address& dst) {
+  return serialize_pim(kPimVersion, static_cast<std::uint8_t>(type), body,
+                       src, dst);
+}
+
+Bytes hpim_wire(HpimType type, BytesView body, const Address& src,
+                const Address& dst) {
+  return serialize_pim(kHpimVersion, static_cast<std::uint8_t>(type), body,
+                       src, dst);
+}
+
 /// S -- L0 -- R -- L1 -- H
 struct FuzzWorld {
   World world;
@@ -53,7 +65,7 @@ std::vector<FuzzFrame> router_templates(FuzzWorld& t) {
     spec.dst = kAllPimRouters;
     spec.hop_limit = 1;
     spec.protocol = proto::kPim;
-    spec.payload = serialize_pim(PimType::kJoinPrune, jp.body(), src,
+    spec.payload = pim_wire(PimType::kJoinPrune, jp.body(), src,
                                  kAllPimRouters);
     out.push_back(FuzzFrame{"pim-jp", build_datagram(spec), {4, 5, 63, 86}});
   }
@@ -188,7 +200,7 @@ std::vector<FuzzFrame> cross_engine_templates(CrossEngineWorld& t) {
     spec.dst = kAllPimRouters;
     spec.hop_limit = 1;
     spec.protocol = proto::kPim;
-    spec.payload = serialize_pim(PimType::kHello, hello.body(), src,
+    spec.payload = pim_wire(PimType::kHello, hello.body(), src,
                                  kAllPimRouters);
     out.push_back(FuzzFrame{"pim-hello", build_datagram(spec), {4, 5}});
   }
@@ -201,7 +213,7 @@ std::vector<FuzzFrame> cross_engine_templates(CrossEngineWorld& t) {
     spec.dst = kAllPimRouters;
     spec.hop_limit = 1;
     spec.protocol = proto::kPim;
-    spec.payload = serialize_hpim(HpimType::kHello, hello.body(), src,
+    spec.payload = hpim_wire(HpimType::kHello, hello.body(), src,
                                   kAllPimRouters);
     out.push_back(FuzzFrame{"hpim-hello", build_datagram(spec), {4, 5}});
   }
@@ -216,7 +228,7 @@ std::vector<FuzzFrame> cross_engine_templates(CrossEngineWorld& t) {
     spec.hop_limit = 1;
     spec.protocol = proto::kPim;
     spec.payload =
-        serialize_hpim(HpimType::kSync, sync.body(), src, spec.dst);
+        hpim_wire(HpimType::kSync, sync.body(), src, spec.dst);
     // Offsets 49-50: the sync entry-count field inside the datagram
     // (40 IPv6 header + 4 HPIM header + 5 into the body).
     out.push_back(FuzzFrame{"hpim-sync", build_datagram(spec), {4, 5, 49, 50}});
@@ -233,7 +245,7 @@ std::vector<FuzzFrame> cross_engine_templates(CrossEngineWorld& t) {
     spec.hop_limit = 1;
     spec.protocol = proto::kPim;
     spec.payload =
-        serialize_hpim(HpimType::kInterest, interest.body(), src, spec.dst);
+        hpim_wire(HpimType::kInterest, interest.body(), src, spec.dst);
     out.push_back(FuzzFrame{"hpim-interest", build_datagram(spec), {4, 5}});
   }
   {
@@ -244,7 +256,7 @@ std::vector<FuzzFrame> cross_engine_templates(CrossEngineWorld& t) {
     spec.dst = t.rp.address_on(t.lx);  // an Ack at the PIM-DM router
     spec.hop_limit = 1;
     spec.protocol = proto::kPim;
-    spec.payload = serialize_hpim(HpimType::kAck, ack.body(), src, spec.dst);
+    spec.payload = hpim_wire(HpimType::kAck, ack.body(), src, spec.dst);
     out.push_back(FuzzFrame{"hpim-ack-to-pim", build_datagram(spec), {4, 5}});
   }
   return out;

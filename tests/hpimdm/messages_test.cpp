@@ -15,13 +15,18 @@ const Address kDst = Address::parse("2001:db8:1::2");
 const Address kGroup = Address::parse("ff1e::1");
 const Address kSource = Address::parse("2001:db8:9::9");
 
+Bytes hpim_frame(HpimType type, BytesView body) {
+  return serialize_pim(kHpimVersion, static_cast<std::uint8_t>(type), body,
+                       kSrc, kDst);
+}
+
 /// serialize + header-parse + body-parse, asserting the type survives.
 template <typename M>
 M round_trip(HpimType type, const M& msg) {
-  Bytes wire = serialize_hpim(type, msg.body(), kSrc, kDst);
-  ParseResult<HpimHeader> hdr = try_parse_hpim(wire, kSrc, kDst);
+  Bytes wire = hpim_frame(type, msg.body());
+  ParseResult<PimHeader> hdr = try_parse_pim(kHpimVersion, wire, kSrc, kDst);
   EXPECT_TRUE(hdr.ok()) << hdr.failure().str();
-  EXPECT_EQ(hdr.value().type, type);
+  EXPECT_EQ(hdr.value().type, static_cast<std::uint8_t>(type));
   ParseResult<M> body = M::try_parse(hdr.value().body);
   EXPECT_TRUE(body.ok()) << body.failure().str();
   return body.ok() ? body.value() : M{};
@@ -91,8 +96,10 @@ TEST(HpimMessages, AssertRoundTrip) {
 // --- Cross-engine rejection (the coexistence contract) ---------------------
 
 TEST(HpimMessages, PimFrameRejectedByNameAtHpimHeader) {
-  Bytes pim = serialize_pim(PimType::kHello, PimHello{}.body(), kSrc, kDst);
-  ParseResult<HpimHeader> r = try_parse_hpim(pim, kSrc, kDst);
+  Bytes pim = serialize_pim(kPimVersion,
+                            static_cast<std::uint8_t>(PimType::kHello),
+                            PimHello{}.body(), kSrc, kDst);
+  ParseResult<PimHeader> r = try_parse_pim(kHpimVersion, pim, kSrc, kDst);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.failure().reason, ParseReason::kBadType);
   EXPECT_EQ(r.failure().str(), "bad-type: HPIM version is not 3");
@@ -103,8 +110,8 @@ TEST(HpimMessages, HpimFrameRejectedByNameAtPimHeader) {
   i.seq = 3;
   i.source = kSource;
   i.group = kGroup;
-  Bytes hpim = serialize_hpim(HpimType::kInterest, i.body(), kSrc, kDst);
-  ParseResult<PimHeader> r = try_parse_pim(hpim, kSrc, kDst);
+  Bytes hpim = hpim_frame(HpimType::kInterest, i.body());
+  ParseResult<PimHeader> r = try_parse_pim(kPimVersion, hpim, kSrc, kDst);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.failure().reason, ParseReason::kBadType);
   EXPECT_EQ(r.failure().str(), "bad-type: PIM version is not 2");
@@ -113,9 +120,9 @@ TEST(HpimMessages, HpimFrameRejectedByNameAtPimHeader) {
 // --- Taxonomy ---------------------------------------------------------------
 
 TEST(HpimMessages, CorruptedChecksumRejected) {
-  Bytes wire = serialize_hpim(HpimType::kHello, HpimHello{}.body(), kSrc, kDst);
+  Bytes wire = hpim_frame(HpimType::kHello, HpimHello{}.body());
   wire.back() ^= 0xff;
-  ParseResult<HpimHeader> r = try_parse_hpim(wire, kSrc, kDst);
+  ParseResult<PimHeader> r = try_parse_pim(kHpimVersion, wire, kSrc, kDst);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.failure().reason, ParseReason::kBadChecksum);
 }
@@ -170,9 +177,8 @@ TEST(HpimMessages, TrailingGarbageAfterBodyRejected) {
 }
 
 TEST(HpimMessages, UnknownTypeRejectedAtHeader) {
-  Bytes wire = serialize_hpim(static_cast<HpimType>(9), HpimHello{}.body(),
-                              kSrc, kDst);
-  ParseResult<HpimHeader> r = try_parse_hpim(wire, kSrc, kDst);
+  Bytes wire = hpim_frame(static_cast<HpimType>(9), HpimHello{}.body());
+  ParseResult<PimHeader> r = try_parse_pim(kHpimVersion, wire, kSrc, kDst);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.failure().reason, ParseReason::kBadType);
   EXPECT_EQ(r.failure().str(), "bad-type: unknown HPIM message type");

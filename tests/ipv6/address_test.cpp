@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/parse_result.hpp"
+
 namespace mip6 {
 namespace {
 
@@ -82,8 +84,9 @@ TEST(Address, SerializeRoundTrip) {
   BufferWriter w;
   a.write(w);
   EXPECT_EQ(w.size(), 16u);
-  BufferReader r(w.bytes());
-  EXPECT_EQ(Address::read(r), a);
+  WireCursor c(w.bytes());
+  EXPECT_EQ(Address::read(c), a);
+  EXPECT_FALSE(c.failed());
 }
 
 TEST(Address, FromBytesRejectsWrongSize) {

@@ -46,7 +46,9 @@ TEST_P(DatagramSweep, RoundTripsExactly) {
   }
 
   Bytes wire = build_datagram(spec);
-  ParsedDatagram d = parse_datagram(wire);
+  ParseResult<ParsedDatagram> r = try_parse_datagram(wire);
+  ASSERT_TRUE(r.ok()) << r.failure().str();
+  const ParsedDatagram& d = r.value();
   EXPECT_EQ(d.hdr.src, spec.src);
   EXPECT_EQ(d.hdr.dst, spec.dst);
   EXPECT_EQ(d.hdr.hop_limit, 77);
@@ -96,7 +98,11 @@ TEST_P(TunnelDepthSweep, NestedEncapsulationUnwinds) {
   }
   EXPECT_EQ(wire.size(), original.size() + depth * kTunnelOverhead);
   for (int i = 0; i < depth; ++i) {
-    wire = decapsulate(parse_datagram(wire));
+    ParseResult<ParsedDatagram> outer = try_parse_datagram(wire);
+    ASSERT_TRUE(outer.ok()) << outer.failure().str();
+    ParseResult<Bytes> inner = try_decapsulate(outer.value());
+    ASSERT_TRUE(inner.ok()) << inner.failure().str();
+    wire = std::move(inner).value();
   }
   EXPECT_EQ(wire, original);
 }

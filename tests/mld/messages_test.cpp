@@ -15,7 +15,9 @@ TEST(MldMessages, QueryRoundTrip) {
   Icmpv6Message icmp = q.to_icmpv6();
   EXPECT_EQ(icmp.type, 130);
   EXPECT_EQ(icmp.body.size(), 20u);
-  MldMessage back = MldMessage::from_icmpv6(icmp);
+  ParseResult<MldMessage> r = MldMessage::try_from_icmpv6(icmp);
+  ASSERT_TRUE(r.ok()) << r.failure().str();
+  const MldMessage& back = r.value();
   EXPECT_EQ(back.type, MldType::kQuery);
   EXPECT_EQ(back.max_response_delay_ms, 10000);
   EXPECT_TRUE(back.is_general_query());
@@ -26,7 +28,9 @@ TEST(MldMessages, GroupSpecificQuery) {
   q.type = MldType::kQuery;
   q.max_response_delay_ms = 1000;
   q.group = Address::parse("ff1e::1");
-  MldMessage back = MldMessage::from_icmpv6(q.to_icmpv6());
+  ParseResult<MldMessage> r = MldMessage::try_from_icmpv6(q.to_icmpv6());
+  ASSERT_TRUE(r.ok()) << r.failure().str();
+  const MldMessage& back = r.value();
   EXPECT_FALSE(back.is_general_query());
   EXPECT_EQ(back.group, q.group);
 }
@@ -36,7 +40,9 @@ TEST(MldMessages, ReportAndDoneRoundTrip) {
     MldMessage m;
     m.type = type;
     m.group = Address::parse("ff1e::42");
-    MldMessage back = MldMessage::from_icmpv6(m.to_icmpv6());
+    ParseResult<MldMessage> r = MldMessage::try_from_icmpv6(m.to_icmpv6());
+    ASSERT_TRUE(r.ok()) << r.failure().str();
+    const MldMessage& back = r.value();
     EXPECT_EQ(back.type, type);
     EXPECT_EQ(back.group, m.group);
   }
@@ -46,7 +52,9 @@ TEST(MldMessages, RejectsNonMldType) {
   Icmpv6Message icmp;
   icmp.type = 128;  // echo request
   icmp.body = Bytes(20);
-  EXPECT_THROW(MldMessage::from_icmpv6(icmp), ParseError);
+  ParseResult<MldMessage> r = MldMessage::try_from_icmpv6(icmp);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.failure().reason, ParseReason::kBadType);
 }
 
 TEST(MldMessages, RejectsTruncatedBody) {
@@ -55,7 +63,9 @@ TEST(MldMessages, RejectsTruncatedBody) {
   m.group = Address::parse("ff1e::1");
   Icmpv6Message icmp = m.to_icmpv6();
   icmp.body.resize(19);
-  EXPECT_THROW(MldMessage::from_icmpv6(icmp), ParseError);
+  ParseResult<MldMessage> r = MldMessage::try_from_icmpv6(icmp);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.failure().reason, ParseReason::kTruncated);
 }
 
 TEST(MldMessages, RejectsTrailingBytes) {
@@ -64,14 +74,18 @@ TEST(MldMessages, RejectsTrailingBytes) {
   m.group = Address::parse("ff1e::1");
   Icmpv6Message icmp = m.to_icmpv6();
   icmp.body.push_back(0);
-  EXPECT_THROW(MldMessage::from_icmpv6(icmp), ParseError);
+  ParseResult<MldMessage> r = MldMessage::try_from_icmpv6(icmp);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.failure().reason, ParseReason::kOverlength);
 }
 
 TEST(MldMessages, ReportWithoutGroupRejected) {
   MldMessage m;
   m.type = MldType::kReport;
   m.group = Address();  // unspecified: invalid for report/done
-  EXPECT_THROW(MldMessage::from_icmpv6(m.to_icmpv6()), ParseError);
+  ParseResult<MldMessage> r = MldMessage::try_from_icmpv6(m.to_icmpv6());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.failure().reason, ParseReason::kSemantic);
 }
 
 TEST(MldConfig, DerivedIntervalsMatchRfcDefaults) {

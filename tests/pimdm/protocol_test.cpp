@@ -107,14 +107,12 @@ TEST(PimDm, GraftRetransmittedUntilAcked) {
   // Drop all Graft-Acks on L2 (towards R2).
   t.l2.set_drop_fn([&t](const Packet& pkt, const Interface& to) {
     if (&to.node() != t.r2.node) return false;
-    try {
-      ParsedDatagram d = parse_datagram(pkt.view());
-      if (d.protocol != proto::kPim) return false;
-      PimHeader h = parse_pim(d.payload, d.hdr.src, d.hdr.dst);
-      return h.type == PimType::kGraftAck;
-    } catch (const ParseError&) {
-      return false;
-    }
+    ParseResult<ParsedDatagram> d = try_parse_datagram(pkt.view());
+    if (!d.ok() || d.value().protocol != proto::kPim) return false;
+    ParseResult<PimHeader> h = try_parse_pim(
+        kPimVersion, d.value().payload, d.value().hdr.src, d.value().hdr.dst);
+    return h.ok() &&
+           static_cast<PimType>(h.value().type) == PimType::kGraftAck;
   });
 
   CbrSource source(

@@ -126,7 +126,9 @@ TEST(StateRefresh, MessageRoundTrip) {
   sr.ttl = 7;
   sr.prune_indicator = true;
   sr.interval_s = 60;
-  PimStateRefresh back = PimStateRefresh::parse(sr.body());
+  ParseResult<PimStateRefresh> r = PimStateRefresh::try_parse(sr.body());
+  ASSERT_TRUE(r.ok()) << r.failure().str();
+  const PimStateRefresh& back = r.value();
   EXPECT_EQ(back.group, sr.group);
   EXPECT_EQ(back.source, sr.source);
   EXPECT_EQ(back.originator, sr.originator);
@@ -143,7 +145,9 @@ TEST(StateRefresh, ParseRejectsTruncation) {
   sr.originator = Address::parse("2001:db8::2");
   Bytes body = sr.body();
   body.pop_back();
-  EXPECT_THROW(PimStateRefresh::parse(body), ParseError);
+  ParseResult<PimStateRefresh> r = PimStateRefresh::try_parse(body);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.failure().reason, ParseReason::kTruncated);
 }
 
 }  // namespace

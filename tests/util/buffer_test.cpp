@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/parse_result.hpp"
+
 namespace mip6 {
 namespace {
 
@@ -49,54 +51,69 @@ TEST(BufferWriter, TakeMovesBufferOut) {
   EXPECT_EQ(to_hex(b), "1234");
 }
 
-TEST(BufferReader, ReadsBackWhatWriterWrote) {
+TEST(WireCursor, ReadsBackWhatWriterWrote) {
   BufferWriter w;
   w.u8(7);
   w.u16(500);
   w.u32(70000);
   w.u64(1ULL << 40);
   Bytes data = std::move(w).take();
-  BufferReader r(data);
-  EXPECT_EQ(r.u8(), 7);
-  EXPECT_EQ(r.u16(), 500);
-  EXPECT_EQ(r.u32(), 70000u);
-  EXPECT_EQ(r.u64(), 1ULL << 40);
-  EXPECT_TRUE(r.empty());
+  WireCursor c(data);
+  EXPECT_EQ(c.u8(), 7);
+  EXPECT_EQ(c.u16(), 500);
+  EXPECT_EQ(c.u32(), 70000u);
+  EXPECT_EQ(c.u64(), 1ULL << 40);
+  EXPECT_TRUE(c.empty());
+  EXPECT_FALSE(c.failed());
 }
 
-TEST(BufferReader, UnderrunThrowsParseError) {
+TEST(WireCursor, UnderrunLatchesFailedAndClamps) {
   Bytes data{1, 2};
-  BufferReader r(data);
-  EXPECT_THROW(r.u32(), ParseError);
-  // Failed read must not consume.
-  EXPECT_EQ(r.remaining(), 2u);
-  EXPECT_EQ(r.u16(), 0x0102);
+  WireCursor c(data);
+  EXPECT_EQ(c.u32(), 0u);
+  EXPECT_TRUE(c.failed());
+  // The cursor clamps at the end instead of consuming part of the field.
+  EXPECT_EQ(c.position(), 2u);
+  EXPECT_EQ(c.remaining(), 0u);
+  // Latched: every later read yields zero or an empty view.
+  EXPECT_EQ(c.u8(), 0);
+  EXPECT_EQ(c.u16(), 0);
+  EXPECT_EQ(c.u64(), 0u);
+  EXPECT_TRUE(c.view(1).empty());
+  EXPECT_TRUE(c.raw(1).empty());
+  EXPECT_TRUE(c.failed());
 }
 
-TEST(BufferReader, RawAndViewConsume) {
+TEST(WireCursor, RawAndViewConsume) {
   Bytes data{1, 2, 3, 4, 5};
-  BufferReader r(data);
-  Bytes head = r.raw(2);
+  WireCursor c(data);
+  Bytes head = c.raw(2);
   EXPECT_EQ(to_hex(head), "0102");
-  BytesView rest = r.view(3);
+  BytesView rest = c.view(3);
   EXPECT_EQ(to_hex(rest), "030405");
-  EXPECT_TRUE(r.empty());
+  EXPECT_TRUE(c.empty());
+  EXPECT_FALSE(c.failed());
 }
 
-TEST(BufferReader, SkipAdvances) {
+TEST(WireCursor, SkipAdvances) {
   Bytes data{1, 2, 3};
-  BufferReader r(data);
-  r.skip(2);
-  EXPECT_EQ(r.u8(), 3);
-  EXPECT_THROW(r.skip(1), ParseError);
+  WireCursor c(data);
+  c.skip(2);
+  EXPECT_EQ(c.position(), 2u);
+  EXPECT_EQ(c.u8(), 3);
+  EXPECT_FALSE(c.failed());
+  c.skip(1);
+  EXPECT_TRUE(c.failed());
 }
 
-TEST(BufferReader, ExpectEndRejectsTrailingBytes) {
+TEST(WireCursor, TrailingBytesLeaveNotEmpty) {
   Bytes data{1};
-  BufferReader r(data);
-  EXPECT_THROW(r.expect_end("msg"), ParseError);
-  r.u8();
-  EXPECT_NO_THROW(r.expect_end("msg"));
+  WireCursor c(data);
+  EXPECT_FALSE(c.empty());
+  EXPECT_EQ(c.remaining(), 1u);
+  c.u8();
+  EXPECT_TRUE(c.empty());
+  EXPECT_FALSE(c.failed());
 }
 
 TEST(ToHex, EmptyAndValues) {
