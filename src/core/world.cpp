@@ -74,13 +74,12 @@ NodeRuntime& World::add_router(const std::string& name,
     switch (opts.engine.value_or(config_.dense_engine)) {
       case DenseEngineKind::kPimDm:
         rt->pim = &rt->emplace_module<PimDmRouter>(
-            *rt->stack, *rt->mld, opts.pim.value_or(config_.pim), config_.mfc);
+            *rt->stack, *rt->mld, opts.pim.value_or(config_.pim));
         rt->dense = rt->pim;
         break;
       case DenseEngineKind::kHpimDm:
         rt->hpim = &rt->emplace_module<HpimDmRouter>(
-            *rt->stack, *rt->mld, opts.hpim.value_or(config_.hpim),
-            config_.mfc);
+            *rt->stack, *rt->mld, opts.hpim.value_or(config_.hpim));
         rt->dense = rt->hpim;
         break;
     }

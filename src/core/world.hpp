@@ -43,11 +43,6 @@ struct WorldConfig {
   Mipv6Config mipv6;
   UnicastRouting unicast = UnicastRouting::kGlobalOracle;
   DenseEngineKind dense_engine = DenseEngineKind::kPimDm;
-  /// Dense-mode data plane of every router, whichever engine it runs:
-  /// bitmap MFC entries + (S,G) flow cache (docs/PERF.md). Off = the
-  /// uncached per-packet oif-list walk, kept as the reference the cache is
-  /// regression-tested against; same-seed traces are byte-identical.
-  bool mfc = true;
   RipngConfig ripng;
   /// Per-link propagation delay / bit rate for new links.
   Time link_delay = Time::us(100);

@@ -12,6 +12,12 @@ std::string sg_str(const DenseModeEngine::SgKey& key) {
   return "(" + key.source.str() + "," + key.group.str() + ")";
 }
 
+/// True for an up router whose engine holds an entry for `key`.
+bool holds(const NodeRuntime& env, const DenseModeEngine::SgKey& key) {
+  return env.node->up() && env.dense != nullptr &&
+         env.dense->has_entry(key.source, key.group);
+}
+
 }  // namespace
 
 std::string AuditReport::str() const {
@@ -33,6 +39,7 @@ AuditReport Auditor::run() {
   if (config_.check_oif_iif) check_oif_iif(r);
   if (config_.check_forwarding_loops) check_forwarding_loops(r);
   if (config_.check_binding_coherence) check_binding_coherence(r);
+  check_flow_cache(r);
   if (config_.quiesced) {
     if (config_.check_duplicate_forwarders) check_duplicate_forwarders(r);
     if (config_.check_prune_coherence) check_prune_coherence(r);
@@ -102,10 +109,7 @@ bool Auditor::group_blackholed(const DenseModeEngine::SgKey& key) const {
   // incoming -> outgoing interfaces until a fixpoint.
   std::set<LinkId> reachable;
   for (const auto& env : world_->routers()) {
-    if (!env->node->up() || env->dense == nullptr ||
-        !env->dense->has_entry(key.source, key.group)) {
-      continue;
-    }
+    if (!holds(*env, key)) continue;
     if (!env->dense->rpf_neighbor_of(key.source, key.group).is_unspecified()) {
       continue;
     }
@@ -117,10 +121,7 @@ bool Auditor::group_blackholed(const DenseModeEngine::SgKey& key) const {
   while (changed) {
     changed = false;
     for (const auto& env : world_->routers()) {
-      if (!env->node->up() || env->dense == nullptr ||
-          !env->dense->has_entry(key.source, key.group)) {
-        continue;
-      }
+      if (!holds(*env, key)) continue;
       const Link* in =
           link_of(*env->node, env->dense->incoming(key.source, key.group));
       if (in == nullptr || !in->up() || !reachable.contains(in->id())) {
@@ -152,10 +153,7 @@ bool Auditor::group_blackholed(const DenseModeEngine::SgKey& key) const {
 bool Auditor::group_duplicating(const DenseModeEngine::SgKey& key) const {
   std::map<LinkId, int> forwarders;
   for (const auto& env : world_->routers()) {
-    if (!env->node->up() || env->dense == nullptr ||
-        !env->dense->has_entry(key.source, key.group)) {
-      continue;
-    }
+    if (!holds(*env, key)) continue;
     for (IfaceId oif : env->dense->outgoing(key.source, key.group)) {
       if (const Link* l = link_of(*env->node, oif)) {
         if (l->up() && ++forwarders[l->id()] > 1) return true;
@@ -181,6 +179,16 @@ void Auditor::check_oif_iif(AuditReport& r) const {
   }
 }
 
+void Auditor::check_flow_cache(AuditReport& r) const {
+  for (const auto& env : world_->routers()) {
+    if (env->dense == nullptr) continue;
+    for (std::string& v : env->dense->flow_cache_violations()) {
+      r.violations.push_back(
+          {"flow-cache-stale", env->node->name() + " " + std::move(v)});
+    }
+  }
+}
+
 void Auditor::check_forwarding_loops(AuditReport& r) const {
   // Per (S,G): router X reaches router Y if X forwards onto a link Y's
   // incoming interface sits on. A cycle in that graph means a datagram
@@ -191,10 +199,7 @@ void Auditor::check_forwarding_loops(AuditReport& r) const {
     std::vector<const Link*> in_link(routers.size(), nullptr);
     for (std::size_t i = 0; i < routers.size(); ++i) {
       const NodeRuntime& env = *routers[i];
-      if (!env.node->up() || env.dense == nullptr ||
-          !env.dense->has_entry(key.source, key.group)) {
-        continue;
-      }
+      if (!holds(env, key)) continue;
       in_link[i] =
           link_of(*env.node, env.dense->incoming(key.source, key.group));
       for (IfaceId oif : env.dense->outgoing(key.source, key.group)) {
@@ -282,10 +287,7 @@ void Auditor::check_duplicate_forwarders(AuditReport& r) const {
   for (const auto& key : all_sg_keys()) {
     std::map<LinkId, std::vector<std::string>> forwarders;
     for (const auto& env : world_->routers()) {
-      if (!env->node->up() || env->dense == nullptr ||
-          !env->dense->has_entry(key.source, key.group)) {
-        continue;
-      }
+      if (!holds(*env, key)) continue;
       for (IfaceId oif : env->dense->outgoing(key.source, key.group)) {
         if (const Link* l = link_of(*env->node, oif)) {
           forwarders[l->id()].push_back(env->node->name());
@@ -315,11 +317,7 @@ void Auditor::check_prune_coherence(AuditReport& r) const {
         const Link* l = link_of(*up->node, oif_iface);
         if (l == nullptr || !l->up()) continue;
         for (const auto& down : world_->routers()) {
-          if (down.get() == up.get() || !down->node->up() ||
-              down->dense == nullptr ||
-              !down->dense->has_entry(key.source, key.group)) {
-            continue;
-          }
+          if (down.get() == up.get() || !holds(*down, key)) continue;
           const Link* in = link_of(
               *down->node, down->dense->incoming(key.source, key.group));
           if (in != l) continue;

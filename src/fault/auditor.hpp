@@ -10,6 +10,8 @@
 //   * the union of all routers' (S,G) oif sets forms no forwarding loop
 //   * a home-agent binding for an acknowledged, away-from-home mobile node
 //     names that node's actual care-of address
+//   * every fresh flow-cache slot forwards what a miss would (always on:
+//     engines invalidate in the event that changes an oif set)
 //
 //  quiesced-only (valid once the protocols have converged — duplicate
 //  forwarders and pruned-but-wanted links are *expected* transients of
@@ -99,6 +101,7 @@ class Auditor {
  private:
   void check_oif_iif(AuditReport& r) const;
   void check_forwarding_loops(AuditReport& r) const;
+  void check_flow_cache(AuditReport& r) const;
   void check_binding_coherence(AuditReport& r) const;
   void check_duplicate_forwarders(AuditReport& r) const;
   void check_prune_coherence(AuditReport& r) const;

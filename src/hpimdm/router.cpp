@@ -2,13 +2,12 @@
 
 #include <algorithm>
 
-#include "net/wire_stats.hpp"
 
 namespace mip6 {
 
 HpimDmRouter::HpimDmRouter(Ipv6Stack& stack, MldRouter& mld,
-                           HpimDmConfig config, bool mfc)
-    : Core(stack, mld, "hpimdm", config.data_timeout, mfc), config_(config) {
+                           HpimDmConfig config)
+    : Core(stack, mld, "hpimdm", config.data_timeout), config_(config) {
   generation_id_ = fresh_generation_id();
   leaf_reconcile_timer_ = std::make_unique<Timer>(
       stack.scheduler(), [this] { reconcile_leaf_groups(); }, stack.node().domain());
@@ -164,49 +163,37 @@ void HpimDmRouter::apply_interest(const Address& from, IfaceId iface,
 // ---------------------------------------------------------------------------
 // Control plane
 
-void HpimDmRouter::on_control_message(const ParsedDatagram& d,
-                                      IfaceId iface) {
-  if (!iface_enabled(iface)) return;
-  auto reject = [&](const ParseFailure& f) {
-    count("hpimdm/rx-drop/parse-error");
-    note_parse_reject(stack_->network(), "hpimdm", f);
-  };
-  ParseResult<PimHeader> hdr =
-      try_parse_pim(kHpimVersion, d.payload, d.hdr.src, d.hdr.dst);
-  if (!hdr.ok()) {
-    reject(hdr.failure());
-    return;
-  }
-  PimHeader h = std::move(hdr).value();
+void HpimDmRouter::on_control_message(const PimHeader& h,
+                                      const Address& from, IfaceId iface) {
   switch (static_cast<HpimType>(h.type)) {
     case HpimType::kHello: {
       ParseResult<HpimHello> m = HpimHello::try_parse(h.body);
-      if (!m.ok()) return reject(m.failure());
-      on_hello(m.value(), d.hdr.src, iface);
+      if (!m.ok()) return reject_control(m.failure());
+      on_hello(m.value(), from, iface);
       break;
     }
     case HpimType::kAck: {
       ParseResult<HpimAck> m = HpimAck::try_parse(h.body);
-      if (!m.ok()) return reject(m.failure());
-      on_ack(m.value(), d.hdr.src, iface);
+      if (!m.ok()) return reject_control(m.failure());
+      on_ack(m.value(), from, iface);
       break;
     }
     case HpimType::kInterest: {
       ParseResult<HpimInterest> m = HpimInterest::try_parse(h.body);
-      if (!m.ok()) return reject(m.failure());
-      on_interest(m.value(), d.hdr.src, iface);
+      if (!m.ok()) return reject_control(m.failure());
+      on_interest(m.value(), from, iface);
       break;
     }
     case HpimType::kSync: {
       ParseResult<HpimSync> m = HpimSync::try_parse(h.body);
-      if (!m.ok()) return reject(m.failure());
-      on_sync(m.value(), d.hdr.src, iface);
+      if (!m.ok()) return reject_control(m.failure());
+      on_sync(m.value(), from, iface);
       break;
     }
     case HpimType::kAssert: {
       ParseResult<HpimAssert> m = HpimAssert::try_parse(h.body);
-      if (!m.ok()) return reject(m.failure());
-      on_assert(m.value(), d.hdr.src, iface);
+      if (!m.ok()) return reject_control(m.failure());
+      on_assert(m.value(), from, iface);
       break;
     }
   }

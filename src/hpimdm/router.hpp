@@ -85,9 +85,7 @@ struct HpimDmEntry : DenseEntry<HpimDmDownstream> {
 class HpimDmRouter final
     : public DenseEngineCore<HpimDmRouter, HpimDmEntry, HpimDmNeighbor> {
  public:
-  /// `mfc` selects the cached data plane (WorldConfig::mfc).
-  HpimDmRouter(Ipv6Stack& stack, MldRouter& mld, HpimDmConfig config,
-               bool mfc = true);
+  HpimDmRouter(Ipv6Stack& stack, MldRouter& mld, HpimDmConfig config);
 
   // --- ProtocolModule ----------------------------------------------------
   const char* module_kind() const override { return "hpimdm"; }
@@ -121,7 +119,8 @@ class HpimDmRouter final
   using Pending = HpimDmNeighbor::Pending;
 
   // Core hooks (dense_engine_core.hpp).
-  void on_control_message(const ParsedDatagram& d, IfaceId iface);
+  void on_control_message(const PimHeader& h, const Address& from,
+                          IfaceId iface);
   bool oif_active(const SgEntry& e, IfaceId iface, const Downstream& d) const;
   /// Declares interest upstream iff the wanted state flipped (or was never
   /// declared). The hard-state replacement for prune/graft/join-override.

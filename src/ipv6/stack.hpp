@@ -127,22 +127,12 @@ class Ipv6Stack : public ProtocolModule {
   void set_mcast_forwarder(McastForwarder f) { mcast_forwarder_ = std::move(f); }
   void clear_mcast_forwarder() { mcast_forwarder_ = nullptr; }
 
-  /// Replicates `pkt` out of `out_iface` with the hop limit decremented
-  /// (used by PIM to place a copy on a downstream link). Returns false if
-  /// the hop limit ran out or the interface is detached.
-  bool forward_out(const Packet& pkt, IfaceId out_iface);
-
-  /// Fan-out variant: decrements the hop limit ONCE and shares the same
-  /// rewritten buffer across every outgoing interface, so replicating to N
-  /// links costs one buffer copy instead of N. Returns the number of
-  /// interfaces actually transmitted on (detached ones are skipped).
-  std::size_t forward_out_many(const Packet& pkt,
-                               const std::vector<IfaceId>& oifs);
-
-  /// Bitmap variant for precomputed MFC entries: iterates the set bits of
-  /// `oifs` (mifi order == ascending IfaceId order by MifTable contract,
-  /// so transmission order matches the vector overload) and shares one
-  /// hop-limit-decremented buffer across every replica. Allocation-free.
+  /// The multicast data path's transmit step (DenseForwarder): replicates
+  /// `pkt` onto every interface set in the MFC bitmap `oifs`, in mifi
+  /// order (ascending IfaceId by MifTable contract). The hop limit is
+  /// decremented once and every replica shares that one rewritten buffer.
+  /// Allocation-free. Returns the number of interfaces actually
+  /// transmitted on (detached ones are skipped and counted).
   std::size_t forward_out_many(const Packet& pkt, const IfSet& oifs,
                                const MifTable& mifs);
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "ipv6/address.hpp"
@@ -76,6 +77,10 @@ class DenseModeEngine : public ProtocolModule {
   virtual bool downstream_pruned(const Address& src, const Address& group,
                                  IfaceId iface) const = 0;
   virtual std::vector<Address> neighbors(IfaceId iface) const = 0;
+  /// One line per fresh flow-cache slot that would forward differently
+  /// from a miss (DenseForwarder::stale_slots against outgoing()); the
+  /// Auditor's flow-cache-stale check reads this.
+  virtual std::vector<std::string> flow_cache_violations() const = 0;
 };
 
 }  // namespace mip6

@@ -6,10 +6,11 @@
 // idiom: the routing daemon fills and flushes the cache with
 // MRT6_ADD_MFC / MRT6_DEL_MFC, the kernel forwards from it). The
 // forwarder owns that MFC: the dense interface indices, the
-// per-RPF-interface (S,G) flow cache, the hit/miss counters, the
-// local-receiver refcount and the uncached reference path. It knows no
-// control plane: the caller passes the oif predicate into forward() and
-// calls invalidate() on every transition that can change its answer.
+// per-RPF-interface (S,G) flow cache, the hit/miss counters and the
+// local-receiver refcount. It knows no control plane: the caller passes
+// the oif predicate into forward() and calls invalidate() on every
+// transition that can change its answer; stale_slots() checks that it
+// did, by comparing every fresh slot with the caller's own oif list.
 //
 // Hot path: forward_hit() is one cache probe, one data-timeout re-arm and
 // one bitmap fan-out, with no virtual call and no allocation.
@@ -47,17 +48,13 @@ class DenseForwarder {
   /// their upstream state.
   using LocalReceiverHook = std::function<void(const Address& group)>;
 
-  /// `engine` prefixes the counters ("pimdm" -> "pimdm/mfc-hit"). With
-  /// `cached` false every datagram takes the uncached per-packet oiflist()
-  /// walk, the reference the cache is regression-tested against.
+  /// `engine` prefixes the counters ("pimdm" -> "pimdm/mfc-hit").
   DenseForwarder(Ipv6Stack& stack, std::string_view engine, Time data_timeout,
-                 bool cached, LocalReceiverHook on_local_change);
+                 LocalReceiverHook on_local_change);
 
-  /// Registers `iface` in the mif table (cached mode only). Throws
-  /// LogicError past IfSet::kBits interfaces rather than truncate oif sets.
-  void enable_iface(IfaceId iface) {
-    if (cached_) (void)mif_of(iface);
-  }
+  /// Registers `iface` in the mif table. Throws LogicError past
+  /// IfSet::kBits interfaces rather than truncate oif sets.
+  void enable_iface(IfaceId iface) { (void)mif_of(iface); }
 
   /// Fast path: forwards `pkt` from a fresh cache entry for (src, group)
   /// whose RPF interface is `iface`. False on a miss (counted): the engine
@@ -66,17 +63,23 @@ class DenseForwarder {
                    const Packet& pkt, IfaceId iface);
 
   /// Miss tail for a datagram that arrived on `e.incoming`: re-arms the
-  /// data timeout, rebuilds the entry's cached bitmap (or, uncached, its
-  /// oif list) from `active(iface, record)` and forwards. False when no
-  /// interface is active and no local receiver pins the group; the engine
-  /// then quenches upstream, which is why that state is never cached.
+  /// data timeout, rebuilds the entry's cached bitmap from
+  /// `active(iface, record)` and forwards. False when no interface is
+  /// active and no local receiver pins the group; the engine then quenches
+  /// upstream, which is why that state is never cached.
   template <typename Entry, typename Active>
   bool forward(Entry& e, const Packet& pkt, Active&& active);
 
-  /// The interfaces of `e.downstream` for which `active(iface, record)`
-  /// holds, ascending.
-  template <typename Entry, typename Active>
-  static std::vector<IfaceId> oiflist(const Entry& e, Active&& active);
+  /// Read-only coherence audit, one line per fresh slot that would forward
+  /// differently from a miss. `find(source, group)` gives the engine's
+  /// entry (nullptr: none) and `outgoing(entry)` its ascending oif list;
+  /// a slot must match both (iif, bitmap, count, data timer), and be
+  /// empty only while a local receiver pins the group.
+  std::vector<std::string> stale_slots(
+      const std::function<const DenseFlow*(const Address&, const Address&)>&
+          find,
+      const std::function<std::vector<IfaceId>(const DenseFlow&)>& outgoing)
+      const;
 
   void invalidate(const Address& source, const Address& group);
   void invalidate(const DenseFlow& f) { invalidate(f.source, f.group); }
@@ -109,7 +112,6 @@ class DenseForwarder {
   Ipv6Stack* stack_;
   std::string engine_;
   Time data_timeout_;
-  bool cached_;
   LocalReceiverHook on_local_change_;
   /// Cells resolved once, so the hot path does no string work.
   CounterCell c_data_fwd_;
@@ -126,12 +128,6 @@ class DenseForwarder {
 template <typename Entry, typename Active>
 bool DenseForwarder::forward(Entry& e, const Packet& pkt, Active&& active) {
   e.entry_timer->arm(data_timeout_);
-  if (!cached_) {
-    std::vector<IfaceId> oifs = oiflist(e, active);
-    if (oifs.empty() && !is_local_receiver(e.group)) return false;
-    c_data_fwd_.add(stack_->forward_out_many(pkt, oifs));
-    return true;
-  }
   // Two passes: registering an interface can renumber the mif table (and
   // flush the cache), so register every candidate and the RPF interface,
   // whose mifi selects the cache sub-table, before building the bitmap.
@@ -150,13 +146,5 @@ bool DenseForwarder::forward(Entry& e, const Packet& pkt, Active&& active) {
   return true;
 }
 
-template <typename Entry, typename Active>
-std::vector<IfaceId> DenseForwarder::oiflist(const Entry& e, Active&& active) {
-  std::vector<IfaceId> out;
-  for (const auto& [iface, d] : e.downstream) {
-    if (active(iface, *d)) out.push_back(iface);
-  }
-  return out;
-}
 
 }  // namespace mip6

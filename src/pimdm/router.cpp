@@ -1,12 +1,9 @@
 #include "pimdm/router.hpp"
 
-#include "net/wire_stats.hpp"
-
 namespace mip6 {
 
-PimDmRouter::PimDmRouter(Ipv6Stack& stack, MldRouter& mld, PimDmConfig config,
-                         bool mfc)
-    : Core(stack, mld, "pimdm", config.data_timeout, mfc), config_(config) {}
+PimDmRouter::PimDmRouter(Ipv6Stack& stack, MldRouter& mld, PimDmConfig config)
+    : Core(stack, mld, "pimdm", config.data_timeout), config_(config) {}
 
 // ---------------------------------------------------------------------------
 // Introspection
@@ -122,60 +119,49 @@ void PimDmRouter::on_nothing_downstream(SgEntry& e) {
 // ---------------------------------------------------------------------------
 // Control plane
 
-void PimDmRouter::on_control_message(const ParsedDatagram& d,
+void PimDmRouter::on_control_message(const PimHeader& h, const Address& from,
                                      IfaceId iface) {
-  if (!iface_enabled(iface)) return;
-  auto reject = [&](const ParseFailure& f) {
-    count("pimdm/rx-drop/parse-error");
-    note_parse_reject(stack_->network(), "pimdm", f);
-  };
-  ParseResult<PimHeader> hdr =
-      try_parse_pim(kPimVersion, d.payload, d.hdr.src, d.hdr.dst);
-  if (!hdr.ok()) {
-    reject(hdr.failure());
-    return;
-  }
-  PimHeader h = std::move(hdr).value();
   switch (static_cast<PimType>(h.type)) {
     case PimType::kHello: {
       ParseResult<PimHello> m = PimHello::try_parse(h.body);
-      if (!m.ok()) return reject(m.failure());
-      on_hello(m.value(), d.hdr.src, iface);
+      if (!m.ok()) return reject_control(m.failure());
+      on_hello(m.value(), from, iface);
       break;
     }
     case PimType::kJoinPrune: {
       ParseResult<PimJoinPrune> m = PimJoinPrune::try_parse(h.body);
-      if (!m.ok()) return reject(m.failure());
-      on_join_prune(m.value(), d.hdr.src, iface);
+      if (!m.ok()) return reject_control(m.failure());
+      on_join_prune(m.value(), from, iface);
       break;
     }
     case PimType::kGraft: {
       ParseResult<PimJoinPrune> m = PimJoinPrune::try_parse(h.body);
-      if (!m.ok()) return reject(m.failure());
-      on_graft(m.value(), d.hdr.src, iface);
+      if (!m.ok()) return reject_control(m.failure());
+      on_graft(m.value(), from, iface);
       break;
     }
     case PimType::kGraftAck: {
       ParseResult<PimJoinPrune> m = PimJoinPrune::try_parse(h.body);
-      if (!m.ok()) return reject(m.failure());
+      if (!m.ok()) return reject_control(m.failure());
       on_graft_ack(m.value(), iface);
       break;
     }
     case PimType::kAssert: {
       ParseResult<PimAssert> m = PimAssert::try_parse(h.body);
-      if (!m.ok()) return reject(m.failure());
-      on_assert(m.value(), d.hdr.src, iface);
+      if (!m.ok()) return reject_control(m.failure());
+      on_assert(m.value(), from, iface);
       break;
     }
     case PimType::kStateRefresh: {
       ParseResult<PimStateRefresh> m = PimStateRefresh::try_parse(h.body);
-      if (!m.ok()) return reject(m.failure());
+      if (!m.ok()) return reject_control(m.failure());
       on_state_refresh(m.value(), iface);
       break;
     }
     default:
       // Unknown PIM message type: taxonomy says bad-type, not a crash.
-      reject(ParseFailure{ParseReason::kBadType, "unknown PIM message type"});
+      reject_control(
+          ParseFailure{ParseReason::kBadType, "unknown PIM message type"});
       break;
   }
 }
@@ -225,11 +211,7 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
           // Refreshed prune (e.g. triggered by a State Refresh wave):
           // re-arm the holdtime in place, no re-flood in between.
           if (d.prune_expiry_timer) {
-            Time hold = Time::sec(jp.holdtime);
-            if (hold > config_.prune_hold_time || jp.holdtime == 0) {
-              hold = config_.prune_hold_time;
-            }
-            d.prune_expiry_timer->arm(hold);
+            d.prune_expiry_timer->arm(prune_hold(jp.holdtime));
             count("pimdm/prune-refreshed");
           }
         } else if (d.state == DownstreamState::kForwarding) {
@@ -263,11 +245,6 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
                          Address::all_pim_routers());
                     count("pimdm/tx/prune-echo");
                   }
-                  Time hold = Time::sec(holdtime);
-                  if (hold > config_.prune_hold_time ||
-                      holdtime == 0) {
-                    hold = config_.prune_hold_time;
-                  }
                   if (!dd.prune_expiry_timer) {
                     dd.prune_expiry_timer = std::make_unique<Timer>(
                         stack_->scheduler(), [this, key, iface] {
@@ -285,7 +262,7 @@ void PimDmRouter::on_join_prune(const PimJoinPrune& jp, const Address& from,
                           }
                         }, stack_->node().domain());
                   }
-                  dd.prune_expiry_timer->arm(hold);
+                  dd.prune_expiry_timer->arm(prune_hold(holdtime));
                   update_upstream(*entry);
                 }, stack_->node().domain());
           }

@@ -53,9 +53,7 @@ class PimDmRouter final
  public:
   using DownstreamState = PimDmDownstreamState;
 
-  /// `mfc` selects the cached data plane (WorldConfig::mfc).
-  PimDmRouter(Ipv6Stack& stack, MldRouter& mld, PimDmConfig config,
-              bool mfc = true);
+  PimDmRouter(Ipv6Stack& stack, MldRouter& mld, PimDmConfig config);
 
   const char* module_kind() const override { return "pimdm"; }
 
@@ -79,7 +77,8 @@ class PimDmRouter final
   static constexpr std::uint8_t kVersion = kPimVersion;
 
   // Core hooks (dense_engine_core.hpp).
-  void on_control_message(const ParsedDatagram& d, IfaceId iface);
+  void on_control_message(const PimHeader& h, const Address& from,
+                          IfaceId iface);
   bool oif_active(const SgEntry& e, IfaceId iface, const Downstream& d) const;
   void update_upstream(SgEntry& e);
   void on_entry_created(SgEntry& e, const Route& route);
@@ -108,6 +107,13 @@ class PimDmRouter final
                       IfaceId iface);
   void originate_state_refresh(SgEntry& e);
   void forward_state_refresh(SgEntry& e, const PimStateRefresh& sr);
+  /// A received prune's holdtime, capped at our own (which 0 also means).
+  Time prune_hold(std::uint16_t holdtime) const {
+    const Time hold = Time::sec(holdtime);
+    return holdtime == 0 || hold > config_.prune_hold_time
+               ? config_.prune_hold_time
+               : hold;
+  }
   /// Control source address: the interface's link-local address.
   Address source_address(IfaceId iface) const {
     return stack_->link_local_address(iface);

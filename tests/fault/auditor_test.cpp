@@ -94,6 +94,30 @@ TEST(Auditor, LostMldListenerStateFailsQuiescedCoverage) {
   EXPECT_TRUE(found) << r.str();
 }
 
+TEST(Auditor, OifChangeTheEngineNeverHeardOfLeavesAStaleCacheSlot) {
+  Figure1 f = converged_world(33, /*move_recv3=*/false);
+  const Address group = Figure1::group();
+  ASSERT_TRUE(Auditor(*f.world).run().ok());
+  // Detach RouterD's engine from MLD, then let Receiver3 leave: MLD drops
+  // the Link4 listener, RouterD's oif list loses Link4, but nothing
+  // invalidates the cached (S,G) slot that still fans out onto it.
+  ASSERT_NE(f.d->dense->mfc_entries(), 0u);
+  f.d->mld->set_group_callback(nullptr);
+  f.recv3->service->unsubscribe(group);
+  f.world->run_until(Time::sec(75));
+  ASSERT_FALSE(f.d->mld->has_listeners(f.d->iface_on(*f.link4), group));
+
+  AuditReport r = Auditor(*f.world).run();
+  bool found = false;
+  for (const auto& v : r.violations) {
+    if (v.check == "flow-cache-stale" &&
+        v.detail.rfind(f.d->node->name(), 0) == 0) {
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found) << r.str();
+}
+
 TEST(Auditor, MissingBindingForAckedMnFailsQuiesced) {
   Figure1 f = converged_world(29, /*move_recv3=*/true);
   ASSERT_TRUE(f.recv3->mn->binding_acked());
